@@ -1,12 +1,14 @@
 // perfbench_layers: the in-process half of the repo benchmark (run.py).
 //
-//   perfbench_layers gen WORKLOAD SEED DIR STEPS [tiny]
-//       Generates the workload's instances (DIMACS) and edit streams from
-//       SEED with this file's own generators and writes DIR/manifest.json.
+//   perfbench_layers gen WORKLOAD SEED DIR STEPS ROUNDS [tiny]
+//       Generates the workload's instances (DIMACS) and, per round and
+//       session, an edit stream of STEPS steps from SEED with this file's own
+//       generators, and writes DIR/manifest.json.
 //   perfbench_layers ref WORKLOAD SEED N0,N1,... [tiny]
-//       Exact reference flow values for session i after 0..Ni edit steps
-//       (or for every corpus instance), each computed by two kernels that
-//       must agree. Prints one JSON object; fails if the kernels disagree.
+//       Exact reference flow values for stream j (round j / sessions,
+//       session j % sessions) after 0..Nj edit steps, or for every corpus
+//       instance, each computed by two kernels that must agree. Prints one
+//       JSON object; fails if the kernels disagree.
 //   perfbench_layers layers SEED DIR [tiny]
 //       The fixed in-process layer battery: times the public stage calls of
 //       the session, delta, kernel, graph, sharded and analog layers on
@@ -58,7 +60,7 @@ using Rng = std::mt19937_64;
 struct Sizes {
   int stream_side = 300;   // edit_stream grid side (90k vertices, 528k edges)
   int stream_sessions = 3;
-  int analog_side = 16;    // analog_reconf grid side (258 vertices)
+  int analog_side = 16;    // the analog battery's grid side (258 vertices)
   int gridflow_h = 100, gridflow_w = 100;
   int rmat_scale = 15, rmat_edges = 100000;
   int layers = 2000, layer_width = 16, fanout = 3;
@@ -305,27 +307,40 @@ struct Session {
   std::vector<Step> steps;
 };
 
-// Stepped workloads: one Session per client.
-std::vector<Session> sessions(const std::string& workload, const Sizes& z, std::uint64_t seed,
-                              int steps) {
+// The edit_stream workload: one Session per client, without its edits. Each
+// session's grid is fixed and the seed draws its edit streams. The first
+// solve of a fresh grid is most of the set-up time, and push_relabel's took
+// from 2.2 s to 3.7 s across seeds on a shared 4-core x86-64 host, which
+// would swamp the set-up figure.
+std::vector<Session> stream_sessions(const Sizes& z) {
   std::vector<Session> out;
-  if (workload == "edit_stream") {
-    const char* solvers[] = {"dinic", "push_relabel", "dinic"};
-    for (int i = 0; i < z.stream_sessions; ++i) {
-      Rng rng = rng_for(seed, "stream" + std::to_string(i));
-      FlowNetwork net = seg_grid(z.stream_side, rng);
-      std::vector<Step> st = edit_stream(net, steps, one_or_ten, rng);
-      out.push_back({solvers[i % 3], std::move(net), std::move(st)});
-    }
-  } else if (workload == "analog_reconf") {
-    Rng rng = rng_for(seed, "analog");
-    FlowNetwork net = seg_grid(z.analog_side, rng);
-    std::vector<Step> st = edit_stream(net, steps, eight, rng);
-    out.push_back({"analog_dc_warm", std::move(net), std::move(st)});
-  } else if (workload != "cold_solve") {
-    throw std::invalid_argument("unknown workload " + workload);
+  const char* solvers[] = {"dinic", "push_relabel", "dinic"};
+  for (int i = 0; i < z.stream_sessions; ++i) {
+    Rng rng = rng_for(0, "stream" + std::to_string(i));
+    out.push_back({solvers[i % 3], seg_grid(z.stream_side, rng), {}});
   }
   return out;
+}
+
+// Session i's edit stream in one round of a run; every round starts again
+// from the session's grid with a stream of its own.
+std::vector<Step> stream_edits(const FlowNetwork& grid, std::uint64_t seed, int session, int round,
+                               int steps) {
+  Rng rng = rng_for(seed, "edits" + std::to_string(session) + "/" + std::to_string(round));
+  return edit_stream(grid, steps, one_or_ten, rng);
+}
+
+// The analog battery's input: a small grid with 8-edit steps.
+Session analog_session(const Sizes& z, std::uint64_t seed, int steps) {
+  Rng rng = rng_for(seed, "analog");
+  FlowNetwork net = seg_grid(z.analog_side, rng);
+  std::vector<Step> st = edit_stream(net, steps, eight, rng);
+  return {"analog_dc_warm", std::move(net), std::move(st)};
+}
+
+void check_workload(const std::string& workload) {
+  if (workload != "edit_stream" && workload != "cold_solve")
+    throw std::invalid_argument("unknown workload " + workload);
 }
 
 std::string step_text(const Step& step) {
@@ -381,28 +396,25 @@ void parallel(std::vector<std::function<void()>> tasks) {
   if (error) std::rethrow_exception(error);
 }
 
-// Flow values after 0..n steps, solved after every `stride`-th step and the
-// last one (NaN elsewhere). Small instances are solved from scratch; large
-// ones follow the backend's delta chain, whose values equal a scratch solve
-// by the delta path's exactness contract, at a fraction of the cost.
-std::vector<double> chain(const Session& s, int n, bool use_push_relabel, int stride) {
+// Flow values of `grid` (whose solve by the same backend is `first`) after
+// 0..steps.size() steps. Small instances are solved from scratch at every
+// step; large ones follow the backend's delta chain, whose values equal a
+// scratch solve by the delta path's exactness contract, at a fraction of the
+// cost.
+std::vector<double> chain(const FlowNetwork& grid, const aflow::flow::MaxFlowResult& first,
+                          const std::vector<Step>& steps, bool use_push_relabel) {
   using namespace aflow::flow;
-  FlowNetwork net = s.net;
+  FlowNetwork net = grid;
   const bool scratch = net.num_edges() < 20000;
   auto cold = use_push_relabel ? &push_relabel : &dinic;
   auto warm = use_push_relabel ? &push_relabel_delta : &dinic_delta;
-  MaxFlowResult r = cold(net, {});
-  std::vector<double> values(n + 1, std::nan(""));
-  values[0] = r.flow_value;
-  CapacityDelta pending;
-  for (int k = 1; k <= n; ++k) {
-    CapacityDelta d{s.steps[k - 1]};
+  MaxFlowResult r = first;
+  std::vector<double> values{r.flow_value};
+  for (const Step& step : steps) {
+    CapacityDelta d{step};
     d.apply(net);
-    pending.edits.insert(pending.edits.end(), d.edits.begin(), d.edits.end());
-    if (k % stride != 0 && k != n) continue;
-    r = scratch ? cold(net, {}) : warm(net, pending, r, {});
-    values[k] = r.flow_value;
-    pending.edits.clear();
+    r = scratch ? cold(net, {}) : warm(net, d, r, {});
+    values.push_back(r.flow_value);
   }
   return values;
 }
@@ -420,6 +432,7 @@ int cmd_ref(const std::string& workload, std::uint64_t seed, const std::string& 
   std::vector<int> n;
   std::stringstream ss(counts);
   for (std::string item; std::getline(ss, item, ',');) n.push_back(std::stoi(item));
+  check_workload(workload);
   std::vector<std::vector<double>> a, b;
   if (workload == "cold_solve") {
     std::vector<Shape> shapes = corpus(z, seed);
@@ -432,24 +445,40 @@ int cmd_ref(const std::string& workload, std::uint64_t seed, const std::string& 
     }
     parallel(std::move(tasks));
   } else {
-    const int most = n.empty() ? 0 : *std::max_element(n.begin(), n.end());
-    std::vector<Session> ss = sessions(workload, z, seed, most);
-    if (n.size() != ss.size()) throw std::invalid_argument("ref: one step count per session");
-    a.resize(ss.size());
-    b.resize(ss.size());
+    // One count per stream: round r's session i is stream r * sessions + i.
+    const std::vector<Session> ss = stream_sessions(z);
+    const size_t sessions = ss.size();
+    if (n.empty() || n.size() % sessions != 0)
+      throw std::invalid_argument("ref: one step count per round and session");
+    std::vector<aflow::flow::MaxFlowResult> first_a(sessions), first_b(sessions);
     std::vector<std::function<void()>> tasks;
-    for (size_t i = 0; i < ss.size(); ++i) {
-      // The second kernel checks every step of small instances and every
-      // 8th step (with the edits in between batched) of large ones.
-      const int stride = ss[i].net.num_edges() < 20000 ? 1 : 8;
-      tasks.push_back([&, i] { a[i] = chain(ss[i], n[i], false, 1); });
-      tasks.push_back([&, i, stride] { b[i] = chain(ss[i], n[i], true, stride); });
+    for (size_t i = 0; i < sessions; ++i) {
+      tasks.push_back([&, i] { first_a[i] = aflow::flow::dinic(ss[i].net); });
+      tasks.push_back([&, i] { first_b[i] = aflow::flow::push_relabel(ss[i].net); });
     }
+    parallel(std::move(tasks));
+    std::vector<std::vector<Step>> edits(n.size());
+    for (size_t j = 0; j < n.size(); ++j)
+      edits[j] = stream_edits(ss[j % sessions].net, seed, static_cast<int>(j % sessions),
+                              static_cast<int>(j / sessions), n[j]);
+    a.resize(n.size());
+    b.resize(n.size());
+    // Both kernels at every step, so each session's answers are checked
+    // against a kernel other than the one that produced them. The longer
+    // push_relabel chains go first.
+    tasks.clear();
+    for (const bool use_push_relabel : {true, false})
+      for (size_t j = 0; j < n.size(); ++j)
+        tasks.push_back([&, j, use_push_relabel] {
+          const size_t i = j % sessions;
+          const auto& first = (use_push_relabel ? first_b : first_a)[i];
+          (use_push_relabel ? b : a)[j] = chain(ss[i].net, first, edits[j], use_push_relabel);
+        });
     parallel(std::move(tasks));
   }
   for (size_t i = 0; i < a.size(); ++i)
     for (size_t k = 0; k < a[i].size(); ++k)
-      if (!std::isnan(b[i][k]) && !agree(a[i][k], b[i][k]))
+      if (!agree(a[i][k], b[i][k]))
         throw std::runtime_error("reference kernels disagree on instance " + std::to_string(i) +
                                  " after step " + std::to_string(k));
   std::printf("{\"values\":[");
@@ -464,7 +493,8 @@ int cmd_ref(const std::string& workload, std::uint64_t seed, const std::string& 
 // ------------------------------------------------------------------- gen
 
 int cmd_gen(const std::string& workload, std::uint64_t seed, const std::string& dir, int steps,
-            const Sizes& z) {
+            int rounds, const Sizes& z) {
+  check_workload(workload);
   std::ofstream manifest(dir + "/manifest.json");
   manifest << "{\"workload\":\"" << workload << "\",\"seed\":" << seed;
   if (workload == "cold_solve") {
@@ -481,14 +511,21 @@ int cmd_gen(const std::string& workload, std::uint64_t seed, const std::string& 
   } else {
     manifest << ",\"sessions\":[";
     int i = 0;
-    for (const Session& s : sessions(workload, z, seed, steps)) {
+    for (const Session& s : stream_sessions(z)) {
       const std::string stem = dir + "/session" + std::to_string(i);
       write_dimacs(stem + ".dimacs", s.net);
-      std::ofstream edits(stem + ".edits");
-      for (const Step& step : s.steps) edits << step_text(step) << '\n';
-      manifest << (i++ ? "," : "") << "{\"solver\":\"" << s.solver << "\",\"file\":\"" << stem
-               << ".dimacs\",\"edits\":\"" << stem << ".edits\",\"vertices\":"
-               << s.net.num_vertices() << ",\"edges\":" << s.net.num_edges() << "}";
+      manifest << (i ? "," : "") << "{\"solver\":\"" << s.solver << "\",\"file\":\"" << stem
+               << ".dimacs\",\"vertices\":" << s.net.num_vertices() << ",\"edges\":"
+               << s.net.num_edges() << ",\"edits\":[";
+      for (int r = 0; r < rounds; ++r) {
+        const std::string file = stem + ".r" + std::to_string(r) + ".edits";
+        std::ofstream edits(file);
+        for (const Step& step : stream_edits(s.net, seed, i, r, steps))
+          edits << step_text(step) << '\n';
+        manifest << (r ? "," : "") << "\"" << file << "\"";
+      }
+      manifest << "]}";
+      ++i;
     }
     manifest << "]";
   }
@@ -647,7 +684,14 @@ void delta_layer(Tracer& tr, Metrics& m, const Session& s, int steps) {
   m.set("delta.repair_ms", median(repair));
   m.set("delta.augment_ms", median(augment));
   m.set("delta.extract_ms", median(extract));
-  m.set("delta.stage_sum_ratio", median(ratio));
+  // The stated reconciliation tolerance: the whole call also validates the
+  // prior and counts distinct edges, and two executions of one step differ
+  // by timing noise.
+  const double stage_sum_ratio = median(ratio);
+  check(stage_sum_ratio >= 0.8 && stage_sum_ratio <= 1.2,
+        "delta stages sum to " + std::to_string(stage_sum_ratio) +
+            " of the whole step, outside [0.8, 1.2]");
+  m.set("delta.stage_sum_ratio", stage_sum_ratio);
   m.set("delta.ops.dinic", static_cast<double>(ops_d));
   m.set("delta.ops.push_relabel", static_cast<double>(ops_p));
   m.set("delta.speedup_vs_scratch.dinic", median(scratch_d) / median(step_d));
@@ -752,12 +796,13 @@ int cmd_layers(std::uint64_t seed, const std::string& dir, const Sizes& z) {
   Metrics m;
   const int n = z.battery_steps;
   {
-    const std::vector<Session> stream = sessions("edit_stream", z, seed, n);
-    session_layer(tr, m, stream.front(), n);
-    delta_layer(tr, m, stream.front(), n);
+    Session s = std::move(stream_sessions(z).front());
+    s.steps = stream_edits(s.net, seed, 0, 0, n);
+    session_layer(tr, m, s, n);
+    delta_layer(tr, m, s, n);
   }
   corpus_layers(tr, m, z, seed, dir);
-  analog_layer(tr, m, sessions("analog_reconf", z, seed, n).front(), n);
+  analog_layer(tr, m, analog_session(z, seed, n), n);
   tr.write(dir + "/spans_layers.json");
   m.print();
   return 0;
@@ -770,12 +815,12 @@ int main(int argc, char** argv) {
     const std::vector<std::string> a(argv + 1, argv + argc);
     const bool tiny = !a.empty() && a.back() == "tiny";
     const Sizes z = sizes(tiny);
-    if (a.size() >= 5 && a[0] == "gen")
-      return cmd_gen(a[1], std::stoull(a[2]), a[3], std::stoi(a[4]), z);
+    if (a.size() >= 6 && a[0] == "gen")
+      return cmd_gen(a[1], std::stoull(a[2]), a[3], std::stoi(a[4]), std::stoi(a[5]), z);
     if (a.size() >= 4 && a[0] == "ref") return cmd_ref(a[1], std::stoull(a[2]), a[3], z);
     if (a.size() >= 3 && a[0] == "layers") return cmd_layers(std::stoull(a[1]), a[2], z);
     std::fprintf(stderr,
-                 "usage: perfbench_layers gen WORKLOAD SEED DIR STEPS [tiny]\n"
+                 "usage: perfbench_layers gen WORKLOAD SEED DIR STEPS ROUNDS [tiny]\n"
                  "       perfbench_layers ref WORKLOAD SEED N0,N1,... [tiny]\n"
                  "       perfbench_layers layers SEED DIR [tiny]\n");
     return 2;

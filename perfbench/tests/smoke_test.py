@@ -7,7 +7,7 @@ From the root of a checkout. For every workload and both modes it checks that
 the last stdout line is the result object, that every metric BENCHMARK.json
 names is printed with its unit and nothing else, and that every answer was
 correct. Then it feeds one deliberately wrong exact reference and checks that
-the answer it scores counts as failed and in error_rate. Exits 1 on the first
+the answers it scores count as failed and in error_rate. Exits 1 on the first
 failure.
 """
 
@@ -37,9 +37,7 @@ def expect(ok, what):
 def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    # analog_reconf is runnable by hand but not in BENCHMARK.json (see
-    # perfbench/README.md); it must still print the same metric set.
-    for w in [w["name"] for w in bench["workloads"]] + ["analog_reconf"]:
+    for w in [w["name"] for w in bench["workloads"]]:
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
             r = run(w, trace)
             what = "%s --trace %d" % (w, trace)
@@ -55,8 +53,8 @@ def main():
             print("ok  %s: %d metrics, %d answers" % (what, len(got), r["attempted"]))
 
     r = run("edit_stream", 1, "--corrupt-reference")
-    expect(not r["correct"] and r["failed"] == 1, "wrong reference not counted as failed")
-    expect(r["metrics"]["error_rate"]["value"] == 1 / r["attempted"],
+    expect(not r["correct"] and r["failed"] >= 1, "wrong reference not counted as failed")
+    expect(r["metrics"]["error_rate"]["value"] == r["failed"] / r["attempted"],
            "wrong reference not counted in error_rate")
     print("ok  a wrong reference counts in error_rate")
 
