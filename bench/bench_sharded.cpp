@@ -3,17 +3,16 @@
 // refinement (see DESIGN.md "Sharded solve").
 //
 // The bench writes a gridflow instance to a DIMACS file, then runs two
-// pipelines in one process:
+// pipelines in one process, both on the one graph type (a FlowNetwork read
+// by graph::read_dimacs_file):
 //
-//   sharded: stream the file into a CsrGraph (graph::read_dimacs_stream),
-//            partition into --shards regions, solve them through the
-//            BatchEngine worker pool, stitch + repair + refine;
-//   direct:  read the file into a FlowNetwork (graph::read_dimacs) and
-//            solve it cold with single-thread Dinic.
+//   sharded: read the file, partition into --shards regions, solve them
+//            through the BatchEngine worker pool, stitch + repair + refine;
+//   direct:  read the file again and solve it cold with single-thread Dinic.
 //
 // Asserts
 //   (a) flow-value identity to 1e-9 and a feasible sharded flow
-//       (graph::check_csr_flow),
+//       (flow::check_flow),
 //   (b) engagement: the partition produced --shards regions with a
 //       non-empty cut manifest, and the pre-refinement bound brackets the
 //       flow (upper_bound >= flow >= stitched_value >= 0),
@@ -23,19 +22,18 @@
 //       solve (measured ~4.6x on the 1M-node grid), and the stage divides
 //       across BatchEngine workers. The end-to-end speedup is reported but
 //       not gated — at this scale the sequential stitch-repair + refinement
-//       tail dominates (~0.8x end-to-end on one CPU; see the ROADMAP
-//       follow-up on parallelising the tail),
-//   (d) peak RSS of the sharded pipeline <= --rss-budget-mb (default 384,
-//       fitting the measured ~262 MB for the 1M-node grid with headroom —
-//       while the direct pipeline's FlowNetwork + residual measure ~397 MB,
-//       over the same budget). The sharded pipeline runs first, so its
-//       VmHWM reading is uncontaminated; the direct pipeline then pushes
-//       VmHWM past it, which the report surfaces as the in-memory path's
-//       overhead.
+//       tail dominates (~0.8x end-to-end; see the ROADMAP follow-up on
+//       parallelising the tail),
+//   (d) peak RSS of the sharded pipeline <= --rss-budget-mb (default 384;
+//       the 1M-node grid measures 287 MB on a 4-core x86-64 host). The
+//       sharded pipeline runs first, so its VmHWM reading is
+//       uncontaminated; the direct pipeline's second copy of the graph and
+//       its dinic residual then push VmHWM to 349 MB, which the report
+//       surfaces as the baseline's overhead.
 //
 //   bench_sharded [--height 1000] [--width 1000] [--cap 64] [--seed 7]
 //                 [--shards 8] [--threads 0] [--region-solver dinic]
-//                 [--min-speedup 2.0] [--rss-budget-mb 2048]
+//                 [--min-speedup 2.0] [--rss-budget-mb 384]
 //                 [--dimacs FILE] [--smoke] [--json FILE]
 //
 // --smoke shrinks the grid and drops the wall-clock and RSS gates (CI
@@ -51,7 +49,6 @@
 #include "bench_util.hpp"
 #include "core/sharded_solver.hpp"
 #include "flow/maxflow.hpp"
-#include "graph/csr.hpp"
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
 #include "util/json.hpp"
@@ -101,7 +98,7 @@ int main(int argc, char** argv) {
                  .string();
 
   bench::banner("Sharded solve: k-way region decomposition with exact "
-                "boundary refinement, streamed from disk");
+                "boundary refinement, read from disk");
 
   {
     std::ofstream out(dimacs);
@@ -120,7 +117,7 @@ int main(int argc, char** argv) {
   opt.num_threads = threads;
   core::ShardReport rep;
   const auto sharded_t0 = std::chrono::steady_clock::now();
-  const graph::CsrGraph g = graph::read_dimacs_stream_file(dimacs);
+  const graph::FlowNetwork g = graph::read_dimacs_file(dimacs);
   const double stream_s = seconds_since(sharded_t0);
   const auto solve_t0 = std::chrono::steady_clock::now();
   const flow::MaxFlowResult sharded =
@@ -129,12 +126,12 @@ int main(int argc, char** argv) {
   const double rss_sharded = peak_rss_mb();
 
   std::printf("sharded   %d regions (%s, %d threads): flow %.6g in %.3f s "
-              "(+%.3f s streaming)\n",
+              "(+%.3f s reading)\n",
               rep.regions, region_solver.c_str(), rep.threads_used,
               sharded.flow_value, sharded_s, stream_s);
-  std::printf("          cut arcs %lld (cap %.6g), bound %.6g, stitched "
+  std::printf("          cut arcs %d (cap %.6g), bound %.6g, stitched "
               "%.6g + refined %.6g\n",
-              static_cast<long long>(rep.cut_arcs), rep.cut_capacity,
+              rep.cut_arcs, rep.cut_capacity,
               rep.upper_bound, rep.stitched_value, rep.refined_added);
   std::printf("          stages: partition %.3f s, regions %.3f s, stitch "
               "%.3f s, refine %.3f s; peak RSS %.1f MB\n",
@@ -142,8 +139,7 @@ int main(int argc, char** argv) {
               rep.refine_seconds, rss_sharded);
 
   const std::string feasible =
-      graph::check_csr_flow(g, sharded.edge_flow, sharded.flow_value,
-                            1e-6 * std::max(1.0, sharded.flow_value));
+      flow::check_flow(g, sharded, 1e-6 * std::max(1.0, sharded.flow_value));
 
   // --- Direct pipeline: the in-memory FlowNetwork baseline. --------------
   const auto direct_t0 = std::chrono::steady_clock::now();
@@ -182,8 +178,8 @@ int main(int argc, char** argv) {
   ok = ok && value_ok;
   if (rep.regions != shards || rep.cut_arcs <= 0) {
     std::fprintf(stderr,
-                 "FAIL: partition did not engage (%d regions, %lld cut arcs)\n",
-                 rep.regions, static_cast<long long>(rep.cut_arcs));
+                 "FAIL: partition did not engage (%d regions, %d cut arcs)\n",
+                 rep.regions, rep.cut_arcs);
     ok = false;
   }
   if (rep.upper_bound < sharded.flow_value - 1e-9 * scale ||
@@ -219,7 +215,7 @@ int main(int argc, char** argv) {
   j.field("height", height);
   j.field("width", width);
   j.field("vertices", g.num_vertices());
-  j.field("edges", static_cast<long long>(g.num_edges()));
+  j.field("edges", g.num_edges());
   j.field("shards", shards);
   j.field("region_solver", region_solver);
   j.field("threads_used", rep.threads_used);
@@ -227,7 +223,7 @@ int main(int argc, char** argv) {
   j.field("upper_bound", rep.upper_bound);
   j.field("stitched_value", rep.stitched_value);
   j.field("refined_added", rep.refined_added);
-  j.field("cut_arcs", static_cast<long long>(rep.cut_arcs));
+  j.field("cut_arcs", rep.cut_arcs);
   j.field("cut_capacity", rep.cut_capacity);
   j.field("wall_s_stream", stream_s);
   j.field("wall_s_sharded", sharded_s);

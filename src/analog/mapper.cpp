@@ -45,16 +45,20 @@ class CircuitBuilder {
       add_capacity_clamp(x, edge.capacity);
     }
 
-    // Conservation circuits (Fig. 2) and objective links.
+    // Conservation circuits (Fig. 2) and objective links. A column's
+    // negative resistor scales with its count of realised edge nodes.
+    std::vector<int> connections(g_.num_vertices(), 0);
+    for (int e = 0; e < g_.num_edges(); ++e) {
+      if (out_.edge_node[e] < 0) continue;
+      ++connections[g_.edge(e).from];
+      ++connections[g_.edge(e).to];
+    }
     for (int v = 0; v < g_.num_vertices(); ++v) {
       if (v == g_.source() || v == g_.sink()) continue;
-      int connections = 0;
-      for (int e : g_.in_edges(v)) connections += out_.edge_node[e] >= 0;
-      for (int e : g_.out_edges(v)) connections += out_.edge_node[e] >= 0;
-      if (connections == 0) continue;
+      if (connections[v] == 0) continue;
       const circuit::NodeId n = nl.new_node("n" + std::to_string(v));
       out_.vertex_node[v] = n;
-      add_negative_resistor(n, r_ / connections,
+      add_negative_resistor(n, r_ / connections[v],
                             {ResistorRole::kColumnNegRes, -1, v});
     }
 
@@ -259,21 +263,22 @@ std::vector<double> MaxFlowCircuit::edge_flows(
 double MaxFlowCircuit::max_conservation_violation_volts(
     std::span<const double> x, const circuit::MnaAssembler& mna,
     const graph::FlowNetwork& net) const {
+  // Per column: in-edges (odd arcs) first, then out-edges (even arcs),
+  // each in edge order.
+  const graph::Incidence inc = graph::incidence(net);
   double worst = 0.0;
   for (int v = 0; v < net.num_vertices(); ++v) {
     if (v == net.source() || v == net.sink()) continue;
     if (vertex_node[v] < 0) continue;
     double balance = 0.0;
     bool any = false;
-    for (int e : net.in_edges(v)) {
-      if (edge_node[e] < 0) continue;
-      balance += mna.node_voltage(edge_node[e], x);
-      any = true;
-    }
-    for (int e : net.out_edges(v)) {
-      if (edge_node[e] < 0) continue;
-      balance -= mna.node_voltage(edge_node[e], x);
-      any = true;
+    for (const int parity : {1, 0}) {
+      for (int arc : inc.at(v)) {
+        if ((arc & 1) != parity || edge_node[arc >> 1] < 0) continue;
+        const double volts = mna.node_voltage(edge_node[arc >> 1], x);
+        balance += parity ? volts : -volts;
+        any = true;
+      }
     }
     if (any) worst = std::max(worst, std::abs(balance));
   }

@@ -1,17 +1,20 @@
 #include "analog/power.hpp"
 
+#include <vector>
+
 namespace aflow::analog {
 
 int count_active_opamps(const graph::FlowNetwork& net) {
   int amps = 0;
-  for (int e = 0; e < net.num_edges(); ++e) {
-    const auto& edge = net.edge(e);
+  std::vector<char> touched(net.num_vertices(), 0);
+  for (const auto& edge : net.edges()) {
+    touched[edge.from] = touched[edge.to] = 1;
     if (edge.from == net.sink() || edge.to == net.source()) continue; // dropped
     if (edge.to != net.sink()) ++amps; // negation-widget NIC
   }
   for (int v = 0; v < net.num_vertices(); ++v) {
     if (v == net.source() || v == net.sink()) continue;
-    if (net.degree(v) > 0) ++amps; // column NIC
+    if (touched[v]) ++amps; // column NIC
   }
   return amps;
 }

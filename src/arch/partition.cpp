@@ -222,12 +222,11 @@ std::vector<int> bfs_order(int size, const std::vector<std::int64_t>& adj_start,
   return order;
 }
 
-/// Shared k-way recursion over any edge-list view (FlowNetwork or CsrGraph):
-/// `edge_at(e)` yields endpoints, `cap_at(e)` the capacity.
-template <typename EdgeAt, typename CapAt>
-RegionPartition partition_regions_impl(int n, std::int64_t m, EdgeAt edge_at,
-                                       CapAt cap_at,
-                                       const RegionPartitionOptions& opts) {
+} // namespace
+
+RegionPartition partition_regions(const graph::FlowNetwork& net,
+                                  const RegionPartitionOptions& opts) {
+  const int n = net.num_vertices();
   if (opts.regions < 1)
     throw std::invalid_argument("partition_regions: need at least one region");
   if (opts.regions > n)
@@ -270,10 +269,9 @@ RegionPartition partition_regions_impl(int n, std::int64_t m, EdgeAt edge_at,
 
     for (int i = 0; i < size; ++i) local[g.verts[static_cast<size_t>(i)]] = i;
     std::vector<std::pair<int, int>> edges;
-    for (std::int64_t e = 0; e < m; ++e) {
-      const auto [fu, fv] = edge_at(e);
-      const int u = local[static_cast<size_t>(fu)];
-      const int v = local[static_cast<size_t>(fv)];
+    for (const graph::Edge& e : net.edges()) {
+      const int u = local[static_cast<size_t>(e.from)];
+      const int v = local[static_cast<size_t>(e.to)];
       if (u >= 0 && v >= 0 && u != v) edges.emplace_back(u, v);
     }
 
@@ -327,13 +325,13 @@ RegionPartition partition_regions_impl(int n, std::int64_t m, EdgeAt edge_at,
         .push_back(v);
 
   std::vector<char> on_boundary(static_cast<size_t>(n), 0);
-  for (std::int64_t e = 0; e < m; ++e) {
-    const auto [u, v] = edge_at(e);
+  for (int e = 0; e < net.num_edges(); ++e) {
+    const auto [u, v, capacity] = net.edge(e);
     if (out.region[static_cast<size_t>(u)] ==
         out.region[static_cast<size_t>(v)])
       continue;
     out.cut_arcs.push_back(e);
-    out.cut_capacity += cap_at(e);
+    out.cut_capacity += capacity;
     on_boundary[static_cast<size_t>(u)] = 1;
     on_boundary[static_cast<size_t>(v)] = 1;
   }
@@ -343,32 +341,6 @@ RegionPartition partition_regions_impl(int n, std::int64_t m, EdgeAt edge_at,
       out.boundary[static_cast<size_t>(out.region[static_cast<size_t>(v)])]
           .push_back(v);
   return out;
-}
-
-} // namespace
-
-RegionPartition partition_regions(const graph::FlowNetwork& net,
-                                  const RegionPartitionOptions& opts) {
-  return partition_regions_impl(
-      net.num_vertices(), static_cast<std::int64_t>(net.num_edges()),
-      [&net](std::int64_t e) {
-        const auto& ed = net.edge(static_cast<int>(e));
-        return std::pair<int, int>{ed.from, ed.to};
-      },
-      [&net](std::int64_t e) {
-        return net.edge(static_cast<int>(e)).capacity;
-      },
-      opts);
-}
-
-RegionPartition partition_regions(const graph::CsrGraph& g,
-                                  const RegionPartitionOptions& opts) {
-  return partition_regions_impl(
-      g.num_vertices(), g.num_edges(),
-      [&g](std::int64_t e) {
-        return std::pair<int, int>{g.edge_from(e), g.edge_to(e)};
-      },
-      [&g](std::int64_t e) { return g.edge_capacity(e); }, opts);
 }
 
 } // namespace aflow::arch

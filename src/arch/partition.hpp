@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr.hpp"
 #include "graph/network.hpp"
 
 namespace aflow::arch {
@@ -57,7 +56,7 @@ struct RegionPartition {
   /// points of the sharded solve).
   std::vector<std::vector<int>> boundary;
   /// Edge ids whose endpoints land in different regions, ascending.
-  std::vector<std::int64_t> cut_arcs;
+  std::vector<int> cut_arcs;
   double cut_capacity = 0.0; // total capacity over cut_arcs
 };
 
@@ -68,8 +67,6 @@ struct RegionPartition {
 /// non-empty. Throws std::invalid_argument when regions < 1 or regions
 /// exceeds the vertex count.
 RegionPartition partition_regions(const graph::FlowNetwork& net,
-                                  const RegionPartitionOptions& opts = {});
-RegionPartition partition_regions(const graph::CsrGraph& g,
                                   const RegionPartitionOptions& opts = {});
 
 } // namespace aflow::arch

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -82,32 +83,6 @@ long long tok_ll(const std::vector<std::string>& t, const char* key,
   }
 }
 
-void write_metrics_json(util::JsonWriter& j, const flow::SolveMetrics& m) {
-  j.begin_object();
-  j.field("iterations", m.iterations);
-  j.field("full_factors", m.full_factors);
-  j.field("refactors", m.refactors);
-  j.field("prototype_refactors", m.prototype_refactors);
-  j.field("rhs_refreshes", m.rhs_refreshes);
-  j.field("warm_iterations", m.warm_iterations);
-  j.field("cold_iterations", m.cold_iterations);
-  j.field("pool_hits", m.pool_hits);
-  j.field("pool_misses", m.pool_misses);
-  j.field("pool_evictions", m.pool_evictions);
-  j.field("delta_solves", m.delta_solves);
-  j.field("delta_fallbacks", m.delta_fallbacks);
-  j.field("edges_touched", m.edges_touched);
-  j.field("injected_excess_arcs", m.injected_excess_arcs);
-  j.field("returned_excess_walks", m.returned_excess_walks);
-  j.field("phase2_fallbacks", m.phase2_fallbacks);
-  j.field("warm_escalations", m.warm_escalations);
-  j.field("fallback_analog_digital", m.fallback_analog_digital);
-  j.field("fallback_region_retries", m.fallback_region_retries);
-  j.field("fallback_region_direct", m.fallback_region_direct);
-  j.field("fallback_pool_rebuilds", m.fallback_pool_rebuilds);
-  j.end_object();
-}
-
 /// Parses the structured reconfigure edit list: `I:C[,I:C...]` (edge
 /// index, new capacity). Order matters; a later edit to the same edge wins.
 std::vector<flow::CapacityEdit> parse_edit_list(const std::string& spec) {
@@ -125,7 +100,13 @@ std::vector<flow::CapacityEdit> parse_edit_list(const std::string& spec) {
                                "' (want EDGE:CAPACITY)");
     flow::CapacityEdit e;
     try {
-      e.edge = static_cast<int>(std::stoll(item.substr(0, colon)));
+      // Edge ids are int: an index beyond that range must not wrap into
+      // a valid one.
+      const long long edge = std::stoll(item.substr(0, colon));
+      if (edge < std::numeric_limits<int>::min() ||
+          edge > std::numeric_limits<int>::max())
+        throw std::out_of_range("edge index");
+      e.edge = static_cast<int>(edge);
       e.capacity = std::stod(item.substr(colon + 1));
     } catch (const std::exception&) {
       throw std::runtime_error("bad --edits item '" + item +
@@ -625,15 +606,14 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
     so.deterministic = engine_.options().deterministic;
     const ShardedSolver solver(so);
     ShardReport rep;
-    const flow::MaxFlowResult r =
-        solver.solve_csr(graph::CsrGraph::from_network(net), &rep, token);
+    const flow::MaxFlowResult r = solver.solve_csr(net, &rep, token);
     j.field("ok", true);
     j.field("solver", "sharded");
     j.field("region_solver", so.region_solver);
     j.field("flow", r.flow_value);
     j.key("shards").begin_object();
     j.field("regions", rep.regions);
-    j.field("cut_arcs", static_cast<long long>(rep.cut_arcs));
+    j.field("cut_arcs", rep.cut_arcs);
     j.field("cut_capacity", rep.cut_capacity);
     j.field("upper_bound", rep.upper_bound);
     j.field("stitched_value", rep.stitched_value);

@@ -47,10 +47,10 @@ SolverCapabilities ShardedSolver::capabilities() const {
 
 flow::MaxFlowResult ShardedSolver::solve(const graph::FlowNetwork& net,
                                          const CancelToken& cancel) const {
-  return solve_csr(graph::CsrGraph::from_network(net), nullptr, cancel);
+  return solve_csr(net, nullptr, cancel);
 }
 
-flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
+flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
                                              ShardReport* report,
                                              const CancelToken& cancel) const {
   // Fail fast on a bad region backend, before any partition work.
@@ -63,12 +63,17 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
         "' must be exact and non-analog");
 
   const int n = g.num_vertices();
-  const std::int64_t m = g.num_edges();
+  const int m = g.num_edges();
   const int s = g.source();
   const int t = g.sink();
   const int k = std::min(options_.shards, n);
-  const double trivial_bound =
-      std::min(g.source_out_capacity(), g.sink_in_capacity());
+  // Capacity leaving s and entering t: the trivial max-flow bound pair.
+  double source_out = 0.0, sink_in = 0.0;
+  for (const graph::Edge& e : g.edges()) {
+    if (e.from == s) source_out += e.capacity;
+    if (e.to == t) sink_in += e.capacity;
+  }
+  const double trivial_bound = std::min(source_out, sink_in);
 
   ShardReport local_report;
   ShardReport& rep = report ? *report : local_report;
@@ -84,8 +89,8 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
     flow::detail::Residual r(g);
     flow::detail::dinic_augment(r, s, t, rep.refine_operations, cancel);
     rep.refine_seconds = seconds_since(t0);
-    result.flow_value = r.carried_flow_at(s);
-    result.edge_flow = r.carried_edge_flows();
+    result.flow_value = r.flow_value_at(g, s);
+    result.edge_flow = r.edge_flows(g);
     result.operations = rep.refine_operations;
     rep.flow_value = result.flow_value;
     rep.refined_added = result.flow_value;
@@ -102,7 +107,7 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   rep.regions = part.num_regions;
   for (const auto& verts : part.vertices)
     rep.region_vertices.push_back(static_cast<int>(verts.size()));
-  rep.cut_arcs = static_cast<std::int64_t>(part.cut_arcs.size());
+  rep.cut_arcs = static_cast<int>(part.cut_arcs.size());
   rep.cut_capacity = part.cut_capacity;
 
   // Pre-refinement optimality bound: contract every region to one vertex
@@ -114,9 +119,9 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   if (part.region[s] != part.region[t] && !part.cut_arcs.empty()) {
     graph::FlowNetwork quotient(part.num_regions, part.region[s],
                                 part.region[t]);
-    for (const std::int64_t e : part.cut_arcs)
-      quotient.add_edge(part.region[g.edge_from(e)],
-                        part.region[g.edge_to(e)], g.edge_capacity(e));
+    for (const int e : part.cut_arcs)
+      quotient.add_edge(part.region[g.edge(e).from],
+                        part.region[g.edge(e).to], g.edge(e).capacity);
     rep.upper_bound =
         std::min(rep.upper_bound, flow::dinic(quotient, cancel).flow_value);
   }
@@ -131,32 +136,32 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   // its incident cut arcs. s and t, where present, are wired to their
   // region's super terminals at the trivial-bound capacities.
   const auto region_t0 = Clock::now();
-  std::vector<std::vector<std::int64_t>> internal(
+  std::vector<std::vector<int>> internal(
       static_cast<size_t>(part.num_regions));
   {
-    std::vector<std::int64_t> count(static_cast<size_t>(part.num_regions), 0);
-    for (std::int64_t e = 0; e < m; ++e) {
-      const int r = part.region[g.edge_from(e)];
-      if (r == part.region[g.edge_to(e)]) ++count[static_cast<size_t>(r)];
+    std::vector<int> count(static_cast<size_t>(part.num_regions), 0);
+    for (const graph::Edge& e : g.edges()) {
+      const int r = part.region[e.from];
+      if (r == part.region[e.to]) ++count[static_cast<size_t>(r)];
     }
     for (int r = 0; r < part.num_regions; ++r)
       internal[static_cast<size_t>(r)].reserve(
           static_cast<size_t>(count[static_cast<size_t>(r)]));
   }
-  std::vector<std::vector<std::int64_t>> in_slots(
+  std::vector<std::vector<int>> in_slots(
       static_cast<size_t>(part.num_regions)),
       out_slots(static_cast<size_t>(part.num_regions));
-  for (std::int64_t e = 0; e < m; ++e) {
-    const int ru = part.region[g.edge_from(e)];
-    const int rv = part.region[g.edge_to(e)];
+  for (int e = 0; e < m; ++e) {
+    const int ru = part.region[g.edge(e).from];
+    const int rv = part.region[g.edge(e).to];
     if (ru == rv) internal[static_cast<size_t>(ru)].push_back(e);
   }
   for (size_t slot = 0; slot < part.cut_arcs.size(); ++slot) {
-    const std::int64_t e = part.cut_arcs[slot];
-    out_slots[static_cast<size_t>(part.region[g.edge_from(e)])].push_back(
-        static_cast<std::int64_t>(slot));
-    in_slots[static_cast<size_t>(part.region[g.edge_to(e)])].push_back(
-        static_cast<std::int64_t>(slot));
+    const int e = part.cut_arcs[slot];
+    out_slots[static_cast<size_t>(part.region[g.edge(e).from])].push_back(
+        static_cast<int>(slot));
+    in_slots[static_cast<size_t>(part.region[g.edge(e).to])].push_back(
+        static_cast<int>(slot));
   }
 
   std::vector<double> flow(static_cast<size_t>(m), 0.0);
@@ -164,8 +169,8 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   std::vector<double> cut_in(part.cut_arcs.size(), 0.0);
   std::vector<long long> region_ops(static_cast<size_t>(part.num_regions), 0);
 
-  const double s_supply = std::max(g.source_out_capacity(), 1.0);
-  const double t_drain = std::max(g.sink_in_capacity(), 1.0);
+  const double s_supply = std::max(source_out, 1.0);
+  const double t_drain = std::max(sink_in, 1.0);
 
   const auto make = [&](int r) {
     // Chaos battery: "shard.region:throw" / ":delay" faults the region
@@ -175,17 +180,16 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
     const auto& verts = part.vertices[static_cast<size_t>(r)];
     const int nr = static_cast<int>(verts.size());
     graph::FlowNetwork net(nr + 2, nr, nr + 1); // S_r = nr, T_r = nr + 1
-    for (const std::int64_t e : internal[static_cast<size_t>(r)])
-      net.add_edge(local_id(verts, g.edge_from(e)),
-                   local_id(verts, g.edge_to(e)), g.edge_capacity(e));
-    for (const std::int64_t slot : in_slots[static_cast<size_t>(r)]) {
-      const std::int64_t e = part.cut_arcs[static_cast<size_t>(slot)];
-      net.add_edge(nr, local_id(verts, g.edge_to(e)), g.edge_capacity(e));
+    for (const int e : internal[static_cast<size_t>(r)])
+      net.add_edge(local_id(verts, g.edge(e).from),
+                   local_id(verts, g.edge(e).to), g.edge(e).capacity);
+    for (const int slot : in_slots[static_cast<size_t>(r)]) {
+      const graph::Edge& e = g.edge(part.cut_arcs[static_cast<size_t>(slot)]);
+      net.add_edge(nr, local_id(verts, e.to), e.capacity);
     }
-    for (const std::int64_t slot : out_slots[static_cast<size_t>(r)]) {
-      const std::int64_t e = part.cut_arcs[static_cast<size_t>(slot)];
-      net.add_edge(local_id(verts, g.edge_from(e)), nr + 1,
-                   g.edge_capacity(e));
+    for (const int slot : out_slots[static_cast<size_t>(r)]) {
+      const graph::Edge& e = g.edge(part.cut_arcs[static_cast<size_t>(slot)]);
+      net.add_edge(local_id(verts, e.from), nr + 1, e.capacity);
     }
     if (part.region[s] == r) net.add_edge(nr, local_id(verts, s), s_supply);
     if (part.region[t] == r) net.add_edge(local_id(verts, t), nr + 1, t_drain);
@@ -200,11 +204,11 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
     const int r = out.index;
     const std::vector<double>& ef = out.result.edge_flow;
     size_t j = 0;
-    for (const std::int64_t e : internal[static_cast<size_t>(r)])
+    for (const int e : internal[static_cast<size_t>(r)])
       flow[static_cast<size_t>(e)] = ef[j++];
-    for (const std::int64_t slot : in_slots[static_cast<size_t>(r)])
+    for (const int slot : in_slots[static_cast<size_t>(r)])
       cut_in[static_cast<size_t>(slot)] = ef[j++];
-    for (const std::int64_t slot : out_slots[static_cast<size_t>(r)])
+    for (const int slot : out_slots[static_cast<size_t>(r)])
       cut_out[static_cast<size_t>(slot)] = ef[j++];
     region_ops[static_cast<size_t>(r)] = out.result.operations;
   };
@@ -292,7 +296,7 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   flow = std::vector<double>();
   rep.stitched_value =
       flow::detail::repair_conservation(r, s, t, rep.repair_operations, cancel)
-          ? r.carried_flow_at(s)
+          ? r.flow_value_at(g, s)
           : -1.0;
   if (rep.stitched_value < 0.0) {
     // Degenerate stitch: repair failed, or the region solutions routed more
@@ -310,8 +314,8 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::CsrGraph& g,
   flow::detail::dinic_augment(r, s, t, rep.refine_operations, cancel);
   rep.refine_seconds = seconds_since(refine_t0);
 
-  result.flow_value = r.carried_flow_at(s);
-  result.edge_flow = r.carried_edge_flows();
+  result.flow_value = r.flow_value_at(g, s);
+  result.edge_flow = r.edge_flows(g);
   result.operations =
       rep.region_operations + rep.repair_operations + rep.refine_operations;
   result.metrics.fallback_region_retries = rep.region_retries;

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/solver.hpp"
-#include "graph/csr.hpp"
+#include "graph/network.hpp"
 
 namespace aflow::core {
 
@@ -50,7 +50,7 @@ struct ShardOptions {
 struct ShardReport {
   int regions = 0;
   std::vector<int> region_vertices; // per-region vertex counts
-  std::int64_t cut_arcs = 0;
+  int cut_arcs = 0;
   double cut_capacity = 0.0;
   /// Pre-refinement optimality bound: min(trivial terminal bound, max flow
   /// of the region-contracted graph). Contraction only relaxes
@@ -81,18 +81,17 @@ class ShardedSolver final : public ISolver {
 
   using ISolver::solve;
 
-  /// FlowNetwork entry (ISolver contract): snapshots into a CsrGraph and
-  /// runs solve_csr. Edge order is preserved, so edge_flow lines up.
+  /// ISolver entry: solve_csr without a report.
   flow::MaxFlowResult solve(const graph::FlowNetwork& net,
                             const CancelToken& cancel) const override;
 
-  /// The native huge-instance entry: solves a CSR view in place (streamed
-  /// from disk via graph::read_dimacs_stream) without ever materialising
-  /// the full FlowNetwork. Throws std::invalid_argument when the region
-  /// backend is unknown, approximate, or analog. `cancel` is checked at
-  /// every stage boundary and threaded into the region solves, the
-  /// conservation repair, and the refinement pass.
-  flow::MaxFlowResult solve_csr(const graph::CsrGraph& g,
+  /// Solves `g` in place and fills `report` when given; the solver's only
+  /// report-taking entry (the name is kept for perfbench/layers.cpp).
+  /// Throws std::invalid_argument when the region backend is unknown,
+  /// approximate, or analog. `cancel` is checked at every stage boundary
+  /// and threaded into the region solves, the conservation repair, and the
+  /// refinement pass.
+  flow::MaxFlowResult solve_csr(const graph::FlowNetwork& g,
                                 ShardReport* report = nullptr,
                                 const CancelToken& cancel = {}) const;
 

@@ -23,25 +23,25 @@ MinCutResult min_cut_from_flow(const graph::FlowNetwork& net,
     scale = std::max(scale, net.edge(e).capacity);
   const double eps = kEpsAbs * scale;
 
-  // BFS in the residual graph from the source.
+  // BFS in the residual graph from the source: an out-edge (even arc) is
+  // residual while unsaturated, an in-edge (odd arc) while it carries flow.
+  const graph::Incidence inc = graph::incidence(net);
   std::queue<int> q;
   q.push(net.source());
   cut.side[net.source()] = 1;
   while (!q.empty()) {
     const int v = q.front();
     q.pop();
-    for (int e : net.out_edges(v)) {
+    for (int arc : inc.at(v)) {
+      const int e = arc >> 1;
       const auto& edge = net.edge(e);
-      if (!cut.side[edge.to] && edge.capacity - flow.edge_flow[e] > eps) {
-        cut.side[edge.to] = 1;
-        q.push(edge.to);
-      }
-    }
-    for (int e : net.in_edges(v)) {
-      const auto& edge = net.edge(e);
-      if (!cut.side[edge.from] && flow.edge_flow[e] > eps) {
-        cut.side[edge.from] = 1;
-        q.push(edge.from);
+      const bool out = !(arc & 1);
+      const int u = out ? edge.to : edge.from;
+      const bool residual = out ? edge.capacity - flow.edge_flow[e] > eps
+                                : flow.edge_flow[e] > eps;
+      if (!cut.side[u] && residual) {
+        cut.side[u] = 1;
+        q.push(u);
       }
     }
   }
@@ -62,27 +62,28 @@ std::string check_flow(const graph::FlowNetwork& net, const MaxFlowResult& resul
   if (static_cast<int>(result.edge_flow.size()) != net.num_edges())
     return "edge_flow size mismatch";
 
+  // One accumulator pass over the edge list: capacity bounds per edge and
+  // the net outflow of every vertex.
+  std::vector<double> net_out(net.num_vertices(), 0.0);
   for (int e = 0; e < net.num_edges(); ++e) {
     const double f = result.edge_flow[e];
-    const double c = net.edge(e).capacity;
-    if (f < -tol || f > c + tol) {
-      err << "edge " << e << ": flow " << f << " outside [0, " << c << "]";
+    const auto& edge = net.edge(e);
+    if (f < -tol || f > edge.capacity + tol) {
+      err << "edge " << e << ": flow " << f << " outside [0, "
+          << edge.capacity << "]";
       return err.str();
     }
+    net_out[edge.from] += f;
+    net_out[edge.to] -= f;
   }
   for (int v = 0; v < net.num_vertices(); ++v) {
     if (v == net.source() || v == net.sink()) continue;
-    double balance = 0.0;
-    for (int e : net.in_edges(v)) balance += result.edge_flow[e];
-    for (int e : net.out_edges(v)) balance -= result.edge_flow[e];
-    if (std::abs(balance) > tol) {
-      err << "vertex " << v << ": conservation violated by " << balance;
+    if (std::abs(net_out[v]) > tol) {
+      err << "vertex " << v << ": conservation violated by " << -net_out[v];
       return err.str();
     }
   }
-  double source_out = 0.0;
-  for (int e : net.out_edges(net.source())) source_out += result.edge_flow[e];
-  for (int e : net.in_edges(net.source())) source_out -= result.edge_flow[e];
+  const double source_out = net_out[net.source()];
   if (std::abs(source_out - result.flow_value) > tol) {
     err << "flow_value " << result.flow_value << " != net source outflow "
         << source_out;

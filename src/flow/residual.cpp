@@ -1,34 +1,21 @@
 #include "flow/residual.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <limits>
 #include <queue>
-#include <stdexcept>
 
 namespace aflow::flow::detail {
 
-Residual::Residual(const graph::FlowNetwork& net) : n(net.num_vertices()) {
+Residual::Residual(const graph::FlowNetwork& net)
+    : incidence(graph::incidence(net)), n(net.num_vertices()) {
   const int m = net.num_edges();
   cap.resize(2 * static_cast<size_t>(m));
   head.resize(2 * static_cast<size_t>(m));
-  arc_start.assign(static_cast<size_t>(n) + 1, 0);
   for (int e = 0; e < m; ++e) {
     const auto& edge = net.edge(e);
     cap[2 * static_cast<size_t>(e)] = edge.capacity;
     cap[2 * static_cast<size_t>(e) + 1] = 0.0;
     head[2 * static_cast<size_t>(e)] = edge.to;
     head[2 * static_cast<size_t>(e) + 1] = edge.from;
-    arc_start[static_cast<size_t>(edge.from) + 1]++;
-    arc_start[static_cast<size_t>(edge.to) + 1]++;
-  }
-  for (int v = 0; v < n; ++v) arc_start[v + 1] += arc_start[v];
-  arc_ids.resize(2 * static_cast<size_t>(m));
-  std::vector<int> cursor(arc_start.begin(), arc_start.end() - 1);
-  for (int e = 0; e < m; ++e) {
-    const auto& edge = net.edge(e);
-    arc_ids[cursor[edge.from]++] = 2 * e;
-    arc_ids[cursor[edge.to]++] = 2 * e + 1;
   }
 }
 
@@ -44,50 +31,13 @@ Residual::Residual(const graph::FlowNetwork& net,
   }
 }
 
-Residual::Residual(const graph::CsrGraph& g) : n(g.num_vertices()) {
-  const std::int64_t m = g.num_edges();
-  if (2 * m >= std::numeric_limits<int>::max())
-    throw std::length_error(
-        "Residual: 2m arcs exceed the int arc index; the refinement residual "
-        "caps sharded instances below 2^30 edges");
-  cap.resize(2 * static_cast<size_t>(m));
-  head.resize(2 * static_cast<size_t>(m));
-  arc_start.assign(static_cast<size_t>(n) + 1, 0);
-  for (std::int64_t e = 0; e < m; ++e) {
-    cap[2 * static_cast<size_t>(e)] = g.edge_capacity(e);
-    cap[2 * static_cast<size_t>(e) + 1] = 0.0;
-    head[2 * static_cast<size_t>(e)] = g.edge_to(e);
-    head[2 * static_cast<size_t>(e) + 1] = g.edge_from(e);
-  }
-  // The CSR view already holds the incidence lists in the same arc encoding;
-  // copy them down to int instead of re-counting.
-  for (int v = 0; v < n; ++v)
-    arc_start[static_cast<size_t>(v) + 1] =
-        arc_start[static_cast<size_t>(v)] +
-        static_cast<int>(g.arcs(v).size());
-  arc_ids.resize(2 * static_cast<size_t>(m));
-  size_t w = 0;
-  for (int v = 0; v < n; ++v)
-    for (std::int64_t a : g.arcs(v)) arc_ids[w++] = static_cast<int>(a);
-}
-
-Residual::Residual(const graph::CsrGraph& g, std::span<const double> prior_flow)
-    : Residual(g) {
-  const std::int64_t m = g.num_edges();
-  for (std::int64_t e = 0; e < m; ++e) {
-    const double c = g.edge_capacity(e);
-    const double f = std::clamp(prior_flow[static_cast<size_t>(e)], 0.0, c);
-    cap[2 * static_cast<size_t>(e)] = c - f;
-    cap[2 * static_cast<size_t>(e) + 1] = f;
-  }
-}
-
 double Residual::flow_value_at(const graph::FlowNetwork& net, int s) const {
+  // Even arcs of s are its out-edges, odd arcs its in-edges.
   double value = 0.0;
-  for (int e : net.out_edges(s))
-    value += net.edge(e).capacity - cap[2 * static_cast<size_t>(e)];
-  for (int e : net.in_edges(s))
-    value -= net.edge(e).capacity - cap[2 * static_cast<size_t>(e)];
+  for (int a : arcs(s))
+    if (!(a & 1)) value += net.edge(a >> 1).capacity - cap[a];
+  for (int a : arcs(s))
+    if (a & 1) value -= net.edge(a >> 1).capacity - cap[a - 1];
   return value;
 }
 
@@ -96,23 +46,6 @@ std::vector<double> Residual::edge_flows(const graph::FlowNetwork& net) const {
   for (int e = 0; e < net.num_edges(); ++e)
     flows[e] = net.edge(e).capacity - cap[2 * static_cast<size_t>(e)];
   return flows;
-}
-
-std::vector<double> Residual::carried_edge_flows() const {
-  const size_t m = cap.size() / 2;
-  std::vector<double> flows(m);
-  for (size_t e = 0; e < m; ++e) flows[e] = cap[2 * e + 1];
-  return flows;
-}
-
-double Residual::carried_flow_at(int s) const {
-  // Even incident arcs are out-edges of s (flow = reverse cap), odd ones are
-  // in-edges (flow = the odd arc's own cap).
-  double value = 0.0;
-  for (int a : arcs(s))
-    value += (a & 1) ? -cap[static_cast<size_t>(a)]
-                     : cap[static_cast<size_t>(a ^ 1)];
-  return value;
 }
 
 std::vector<double> Residual::imbalances() const {

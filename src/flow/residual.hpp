@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "flow/maxflow.hpp"
-#include "graph/csr.hpp"
 #include "graph/network.hpp"
 #include "util/cancel.hpp"
 
@@ -23,50 +22,33 @@ struct Residual {
   /// re-solve path (flow/delta.hpp).
   Residual(const graph::FlowNetwork& net, std::span<const double> prior_flow);
 
-  /// CSR twins of the two constructors above — the huge-instance path
-  /// (core::ShardedSolver) never materialises a FlowNetwork. Throws
-  /// std::length_error when 2m overflows the int arc index (the residual is
-  /// the one structure of the sharded path still bounded by int).
-  explicit Residual(const graph::CsrGraph& g);
-  Residual(const graph::CsrGraph& g, std::span<const double> prior_flow);
-
   /// Residual capacity per arc; arcs 2e / 2e+1 are the forward / reverse
   /// pair of input edge e.
   std::vector<double> cap;
   std::vector<int> head; // arc -> target vertex
-  // Incident arcs in CSR form (arc_ids[arc_start[v] .. arc_start[v+1])):
-  // two flat arrays instead of a vector-of-vectors, so building a residual
-  // is two O(E) passes with no per-vertex allocations — that build is the
-  // fixed cost of every delta re-solve (flow/delta.hpp), where it would
-  // otherwise dominate small-edit steps.
-  std::vector<int> arc_start; // n + 1 offsets
-  std::vector<int> arc_ids;
+  // Incident arcs per vertex (graph::incidence): flat arrays with no
+  // per-vertex allocations, so building a residual is a few O(E) passes —
+  // that build is the fixed cost of every delta re-solve (flow/delta.hpp).
+  graph::Incidence incidence;
   int n = 0;
 
   int rev(int arc) const { return arc ^ 1; }
 
   /// Arcs leaving `v` (forward arcs of v's out-edges plus reverse arcs of
   /// its in-edges).
-  std::span<const int> arcs(int v) const {
-    return {arc_ids.data() + arc_start[v],
-            static_cast<size_t>(arc_start[v + 1] - arc_start[v])};
-  }
+  std::span<const int> arcs(int v) const { return incidence.at(v); }
 
   /// Extracts per-input-edge flow (forward capacity consumed).
   std::vector<double> edge_flows(const graph::FlowNetwork& net) const;
 
-  /// Flow value currently carried: net flow out of `s` (forward consumption
-  /// minus reverse consumption over s-incident arcs).
+  /// Flow value currently carried: net flow out of `s`, summed over its
+  /// out-edges first and then its in-edges, each in edge order.
   double flow_value_at(const graph::FlowNetwork& net, int s) const;
 
-  /// Graph-free twins: augmentation preserves cap[2e] + cap[2e+1] =
-  /// capacity(e), so the flow on edge e is recoverable as cap[2e+1] without
-  /// consulting the input graph. These let the CSR path read results (and
-  /// the repair below find imbalances) from the residual alone.
-  std::vector<double> carried_edge_flows() const;
-  double carried_flow_at(int s) const;
   /// Conservation surplus (inflow - outflow) per vertex under the carried
-  /// flow; source/sink entries are reported but are not repair targets.
+  /// flow, read from the residual alone: augmentation preserves
+  /// cap[2e] + cap[2e+1] = capacity(e), so edge e carries cap[2e+1].
+  /// Source/sink entries are reported but are not repair targets.
   std::vector<double> imbalances() const;
 };
 

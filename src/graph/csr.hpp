@@ -1,96 +1,11 @@
-// Compact immutable CSR view of a flow network — the large-instance
-// representation of the sharded solve path (DESIGN.md "Sharded solve").
-//
-// graph::FlowNetwork carries a vector<vector<int>> adjacency: two heap
-// blocks plus a 24-byte header per vertex, which is the memory wall at
-// millions of nodes. A CsrGraph stores the same graph as five flat arrays
-// (edge endpoints, capacities, and one combined incidence CSR) with 64-bit
-// edge counts, so a million-node instance streams from disk into a
-// predictable, compact footprint. The view is immutable by contract: build
-// it once (from a stream or a FlowNetwork) and share it read-only.
+// `graph::CsrGraph` is an alias kept only because perfbench/layers.cpp
+// spells that name; graph::FlowNetwork is the one graph type.
 #pragma once
-
-#include <cstdint>
-#include <span>
-#include <string>
-#include <vector>
 
 #include "graph/network.hpp"
 
 namespace aflow::graph {
 
-class CsrGraph {
- public:
-  CsrGraph() = default;
-
-  /// Builds the CSR from flat edge arrays (all three the same length).
-  /// Validates endpoints, rejects self loops and non-positive capacities,
-  /// and constructs the incidence CSR in two O(E) passes. Throws
-  /// std::invalid_argument on malformed input.
-  CsrGraph(int num_vertices, int source, int sink, std::vector<int> edge_from,
-           std::vector<int> edge_to, std::vector<double> edge_cap);
-
-  /// Snapshot of an in-memory FlowNetwork (edge order preserved).
-  static CsrGraph from_network(const FlowNetwork& net);
-
-  /// Materialises a FlowNetwork (edge order preserved) — the bridge back to
-  /// the per-region subproblem path and the tests. Throws std::length_error
-  /// when the edge count exceeds FlowNetwork's int range.
-  FlowNetwork to_network() const;
-
-  int num_vertices() const { return num_vertices_; }
-  std::int64_t num_edges() const {
-    return static_cast<std::int64_t>(edge_cap_.size());
-  }
-  int source() const { return source_; }
-  int sink() const { return sink_; }
-
-  int edge_from(std::int64_t e) const {
-    return edge_from_[static_cast<size_t>(e)];
-  }
-  int edge_to(std::int64_t e) const {
-    return edge_to_[static_cast<size_t>(e)];
-  }
-  double edge_capacity(std::int64_t e) const {
-    return edge_cap_[static_cast<size_t>(e)];
-  }
-
-  /// Incident arcs of `v`, both directions: arc 2e is edge e leaving its
-  /// tail, arc 2e+1 is edge e seen from its head (same encoding as
-  /// flow::detail::Residual).
-  std::span<const std::int64_t> arcs(int v) const {
-    return {arc_ids_.data() + arc_start_[v],
-            static_cast<size_t>(arc_start_[v + 1] - arc_start_[v])};
-  }
-  static std::int64_t arc_edge(std::int64_t arc) { return arc >> 1; }
-  static bool arc_is_out(std::int64_t arc) { return (arc & 1) == 0; }
-
-  /// Sum of capacities leaving `source()` / entering `sink()` — the trivial
-  /// max-flow upper bound pair.
-  double source_out_capacity() const;
-  double sink_in_capacity() const;
-
-  /// Heap bytes held by the view (capacity planning for the serving layer).
-  std::size_t memory_bytes() const;
-
- private:
-  int num_vertices_ = 0;
-  int source_ = 0;
-  int sink_ = 0;
-  std::vector<int> edge_from_;
-  std::vector<int> edge_to_;
-  std::vector<double> edge_cap_;
-  std::vector<std::int64_t> arc_start_; // n + 1 offsets into arc_ids_
-  std::vector<std::int64_t> arc_ids_;   // 2m incident arcs
-};
-
-/// Verifies that `edge_flow` is a feasible s-t flow of value `flow_value`
-/// on `g`: capacity bounds, conservation at every ordinary vertex, and the
-/// net source outflow, all to within `tol`. Returns an empty string when
-/// valid, otherwise a description of the first violation — the CSR twin of
-/// flow::check_flow, so huge sharded solves can be validated without
-/// materialising a FlowNetwork.
-std::string check_csr_flow(const CsrGraph& g, std::span<const double> edge_flow,
-                           double flow_value, double tol = 1e-9);
+using CsrGraph = FlowNetwork; // kept for perfbench/layers.cpp
 
 } // namespace aflow::graph

@@ -6,107 +6,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace aflow::graph {
-
-FlowNetwork read_dimacs(std::istream& in) {
-  std::string line;
-  int n = -1;
-  long long m = -1;
-  int source = -1;
-  int sink = -1;
-  struct Arc { int u, v; double cap; };
-  std::vector<Arc> arcs;
-
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    char kind = 0;
-    ls >> kind;
-    switch (kind) {
-      case 'c': break; // comment
-      case 'p': {
-        if (n != -1)
-          throw std::runtime_error(
-              "read_dimacs: duplicate problem line ('p' may appear once)");
-        std::string tag;
-        ls >> tag >> n >> m;
-        if (!ls || tag != "max")
-          throw std::runtime_error("read_dimacs: expected 'p max N M'");
-        if (n < 0 || m < 0)
-          throw std::runtime_error(
-              "read_dimacs: negative node or arc count in problem line");
-        // FlowNetwork indexes edges with int; past 2^31 arcs the counts
-        // would silently narrow. Refuse loudly and point at the path built
-        // for that scale.
-        if (m >= std::numeric_limits<int>::max())
-          throw std::runtime_error(
-              "read_dimacs: " + std::to_string(m) +
-              " arcs exceeds the in-memory FlowNetwork's int edge index; "
-              "use read_dimacs_stream for instances of this size");
-        arcs.reserve(static_cast<size_t>(m));
-        break;
-      }
-      case 'n': {
-        int v = 0;
-        char role = 0;
-        ls >> v >> role;
-        if (!ls) throw std::runtime_error("read_dimacs: malformed node line");
-        if (role == 's') {
-          if (source != -1) throw std::runtime_error("read_dimacs: duplicate source");
-          source = v - 1;
-        } else if (role == 't') {
-          if (sink != -1) throw std::runtime_error("read_dimacs: duplicate sink");
-          sink = v - 1;
-        } else {
-          throw std::runtime_error("read_dimacs: node role must be 's' or 't'");
-        }
-        break;
-      }
-      case 'a': {
-        Arc a{};
-        ls >> a.u >> a.v >> a.cap;
-        if (!ls) throw std::runtime_error("read_dimacs: malformed arc line");
-        arcs.push_back({a.u - 1, a.v - 1, a.cap});
-        break;
-      }
-      default:
-        throw std::runtime_error("read_dimacs: unknown line kind '" +
-                                 std::string(1, kind) + "'");
-    }
-  }
-  if (n < 2) throw std::runtime_error("read_dimacs: missing problem line");
-  if (source < 0 || sink < 0)
-    throw std::runtime_error("read_dimacs: missing source or sink designator");
-  if (source == sink)
-    throw std::runtime_error(
-        "read_dimacs: source and sink designate the same node " +
-        std::to_string(source + 1));
-  if (static_cast<long long>(arcs.size()) != m)
-    throw std::runtime_error(
-        "read_dimacs: problem line declares " + std::to_string(m) +
-        " arcs but the file contains " + std::to_string(arcs.size()));
-
-  FlowNetwork net(n, source, sink);
-  for (const auto& a : arcs) {
-    if (a.u < 0 || a.u >= n || a.v < 0 || a.v >= n)
-      throw std::runtime_error("read_dimacs: arc endpoint out of range");
-    if (a.u == a.v) continue; // self loops carry no s-t flow; drop silently
-    if (a.cap <= 0.0) continue; // zero-capacity arcs are no-ops
-    net.add_edge(a.u, a.v, a.cap);
-  }
-  return net;
-}
-
-FlowNetwork read_dimacs_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_dimacs_file: cannot open " + path);
-  return read_dimacs(in);
-}
 
 namespace {
 
@@ -138,18 +42,17 @@ bool parse_cap(const char*& p, const char* end, double& out) {
 
 } // namespace
 
-CsrGraph read_dimacs_stream(std::istream& in) {
+FlowNetwork read_dimacs(std::istream& in) {
   std::string line;
   std::int64_t n = -1, m = -1, arcs_seen = 0;
   long long lineno = 0;
   int source = -1, sink = -1;
-  std::vector<int> from, to;
-  std::vector<double> cap;
+  std::vector<Edge> edges;
 
   // Every parse error names the offending 1-based line so a truncated or
   // corrupted multi-gigabyte file can be diagnosed without a binary search.
   const auto fail = [&](const std::string& what) -> void {
-    throw std::runtime_error("read_dimacs_stream: " + what + " at line " +
+    throw std::runtime_error("read_dimacs: " + what + " at line " +
                              std::to_string(lineno));
   };
 
@@ -174,9 +77,12 @@ CsrGraph read_dimacs_stream(std::istream& in) {
         if (n >= std::numeric_limits<int>::max())
           fail("node count " + std::to_string(n) +
                " exceeds the int vertex index");
-        from.reserve(static_cast<size_t>(m));
-        to.reserve(static_cast<size_t>(m));
-        cap.reserve(static_cast<size_t>(m));
+        // Refused before any arc is read, so a huge declaration costs
+        // neither the preallocation nor a pass over the file.
+        if (m >= std::numeric_limits<int>::max())
+          fail("arc count " + std::to_string(m) +
+               " exceeds the int edge index");
+        edges.reserve(static_cast<size_t>(m));
         break;
       }
       case 'n': {
@@ -185,6 +91,10 @@ CsrGraph read_dimacs_stream(std::istream& in) {
         if (!parse_i64(p, end, v)) fail("malformed node line");
         p = skip_ws(p, end);
         if (p == end) fail("malformed node line");
+        if (n < 0) fail("node line before problem line");
+        if (v < 1 || v > n)
+          fail("node designator " + std::to_string(v) + " outside 1.." +
+               std::to_string(n));
         if (*p == 's') {
           if (source != -1) fail("duplicate source");
           source = static_cast<int>(v - 1);
@@ -206,10 +116,10 @@ CsrGraph read_dimacs_stream(std::istream& in) {
         if (u < 1 || u > n || v < 1 || v > n)
           fail("arc endpoint out of range");
         ++arcs_seen;
-        if (u == v || c <= 0.0) break; // same skip semantics as read_dimacs
-        from.push_back(static_cast<int>(u - 1));
-        to.push_back(static_cast<int>(v - 1));
-        cap.push_back(c);
+        // Self loops carry no s-t flow and zero-capacity arcs are no-ops.
+        if (u == v || c <= 0.0) break;
+        edges.push_back(
+            {static_cast<int>(u - 1), static_cast<int>(v - 1), c});
         break;
       }
       default:
@@ -219,7 +129,7 @@ CsrGraph read_dimacs_stream(std::istream& in) {
   if (in.bad())
     fail("stream read error (I/O failure mid-file)");
   if (n < 2)
-    throw std::runtime_error("read_dimacs_stream: missing problem line");
+    throw std::runtime_error("read_dimacs: missing problem line");
   if (source < 0 || sink < 0)
     fail("missing source or sink designator");
   if (source == sink)
@@ -229,18 +139,20 @@ CsrGraph read_dimacs_stream(std::istream& in) {
   // a line boundary (every surviving line parses; arcs are just missing).
   if (arcs_seen != m)
     throw std::runtime_error(
-        "read_dimacs_stream: problem line declares " + std::to_string(m) +
+        "read_dimacs: problem line declares " + std::to_string(m) +
         " arcs but the file contains " + std::to_string(arcs_seen) +
         " (input truncated after line " + std::to_string(lineno) + "?)");
-  return CsrGraph(static_cast<int>(n), source, sink, std::move(from),
-                  std::move(to), std::move(cap));
+  return FlowNetwork(static_cast<int>(n), source, sink, std::move(edges));
 }
 
-CsrGraph read_dimacs_stream_file(const std::string& path) {
+FlowNetwork read_dimacs_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in)
-    throw std::runtime_error("read_dimacs_stream_file: cannot open " + path);
-  return read_dimacs_stream(in);
+  if (!in) throw std::runtime_error("read_dimacs_file: cannot open " + path);
+  return read_dimacs(in);
+}
+
+FlowNetwork read_dimacs_stream_file(const std::string& path) {
+  return read_dimacs_file(path);
 }
 
 void write_dimacs(std::ostream& out, const FlowNetwork& net) {

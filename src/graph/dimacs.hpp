@@ -6,26 +6,24 @@
 #include <iosfwd>
 #include <string>
 
-#include "graph/csr.hpp"
 #include "graph/network.hpp"
 
 namespace aflow::graph {
 
-/// Parses a DIMACS max-flow problem. Throws std::runtime_error on malformed
-/// input (missing problem line, bad arc endpoints, duplicate node
-/// designators, ...). Refuses instances with >= 2^31 arcs — those only fit
-/// the streaming CSR path (read_dimacs_stream).
+/// Parses a DIMACS max-flow problem in one pass: a reused line buffer with
+/// std::from_chars field parsing and the edge list preallocated from the
+/// problem line, so a million-node instance loads at 16 bytes per edge.
+/// Self loops and non-positive capacities are dropped; the declared arc
+/// count must still match the a-lines seen. Throws std::runtime_error
+/// naming the offending 1-based line on malformed input (missing or
+/// duplicate problem line, node designators or arc endpoints outside
+/// 1..N, duplicate terminals, truncation, ...). Refuses a problem line
+/// declaring 2^31 - 1 arcs or more before reading any arc.
 FlowNetwork read_dimacs(std::istream& in);
 FlowNetwork read_dimacs_file(const std::string& path);
 
-/// Streaming reader for huge instances: one pass, a reused line buffer with
-/// std::from_chars field parsing (no istringstream churn), arc arrays
-/// preallocated from the problem line, and 64-bit arc counts throughout.
-/// Skip semantics match read_dimacs (self loops and non-positive capacities
-/// are dropped). Returns the compact CSR view instead of a FlowNetwork so a
-/// million-node instance never pays the per-vertex adjacency-vector tax.
-CsrGraph read_dimacs_stream(std::istream& in);
-CsrGraph read_dimacs_stream_file(const std::string& path);
+/// Forwards to read_dimacs_file; kept for perfbench/layers.cpp.
+FlowNetwork read_dimacs_stream_file(const std::string& path);
 
 /// Writes `net` in DIMACS max-flow format.
 void write_dimacs(std::ostream& out, const FlowNetwork& net);

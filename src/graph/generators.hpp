@@ -68,7 +68,7 @@ FlowNetwork uniform_random(int num_vertices, int num_edges, int max_capacity,
 /// ~1M-vertex / ~3M-arc sharded-solve scale instance. Deterministic per
 /// seed, and `write_gridflow_dimacs` emits the identical instance straight
 /// to a DIMACS stream without materialising it, so huge workloads are
-/// generated at O(1) memory and read back through read_dimacs_stream.
+/// generated at O(1) memory and read back through read_dimacs.
 FlowNetwork gridflow(int height, int width, int max_capacity,
                      std::uint64_t seed);
 void write_gridflow_dimacs(std::ostream& out, int height, int width,

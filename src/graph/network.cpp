@@ -4,12 +4,12 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 namespace aflow::graph {
 
 FlowNetwork::FlowNetwork(int num_vertices, int source, int sink)
-    : num_vertices_(num_vertices), source_(source), sink_(sink),
-      out_(num_vertices), in_(num_vertices) {
+    : num_vertices_(num_vertices), source_(source), sink_(sink) {
   if (num_vertices < 2)
     throw std::invalid_argument("FlowNetwork: need at least source and sink");
   if (source < 0 || source >= num_vertices || sink < 0 || sink >= num_vertices)
@@ -18,24 +18,37 @@ FlowNetwork::FlowNetwork(int num_vertices, int source, int sink)
     throw std::invalid_argument("FlowNetwork: source must differ from sink");
 }
 
-int FlowNetwork::add_edge(int from, int to, double capacity) {
-  if (from < 0 || from >= num_vertices_ || to < 0 || to >= num_vertices_)
+FlowNetwork::FlowNetwork(int num_vertices, int source, int sink,
+                         std::vector<Edge> edges)
+    : FlowNetwork(num_vertices, source, sink) {
+  if (edges.size() > static_cast<size_t>(std::numeric_limits<int>::max()))
+    throw std::length_error(
+        "FlowNetwork: edge count exceeds the int edge index");
+  for (const Edge& e : edges) check_edge(e);
+  edges_ = std::move(edges);
+}
+
+void FlowNetwork::check_edge(const Edge& e) const {
+  if (e.from < 0 || e.from >= num_vertices_ || e.to < 0 ||
+      e.to >= num_vertices_)
     throw std::invalid_argument("FlowNetwork::add_edge: vertex out of range");
-  if (from == to)
+  if (e.from == e.to)
     throw std::invalid_argument("FlowNetwork::add_edge: self loops not supported");
-  if (!(capacity > 0.0))
+  if (!(e.capacity > 0.0))
     throw std::invalid_argument("FlowNetwork::add_edge: capacity must be positive");
+}
+
+int FlowNetwork::add_edge(int from, int to, double capacity) {
+  const Edge edge{from, to, capacity};
+  check_edge(edge);
   // num_edges() narrows edges_.size() to int; refuse the edge that would
   // make that cast wrap instead of silently corrupting every index after it.
   if (edges_.size() >=
       static_cast<size_t>(std::numeric_limits<int>::max()))
     throw std::length_error(
-        "FlowNetwork::add_edge: edge count at the int index limit; "
-        "instances of this size belong in graph::CsrGraph");
+        "FlowNetwork::add_edge: edge count at the int index limit");
   const int id = static_cast<int>(edges_.size());
-  edges_.push_back({from, to, capacity});
-  out_[from].push_back(id);
-  in_[to].push_back(id);
+  edges_.push_back(edge);
   return id;
 }
 
@@ -64,7 +77,36 @@ void FlowNetwork::validate() const {
   }
 }
 
-std::vector<char> reachable_from(const FlowNetwork& net, int start) {
+Incidence incidence(const FlowNetwork& net) {
+  const int n = net.num_vertices();
+  const size_t m = static_cast<size_t>(net.num_edges());
+  if (2 * m >= static_cast<size_t>(std::numeric_limits<int>::max()))
+    throw std::length_error(
+        "incidence: 2m arcs exceed the int arc index; instances must stay "
+        "below 2^30 edges");
+  Incidence inc;
+  inc.start.assign(static_cast<size_t>(n) + 1, 0);
+  for (const Edge& e : net.edges()) {
+    ++inc.start[static_cast<size_t>(e.from) + 1];
+    ++inc.start[static_cast<size_t>(e.to) + 1];
+  }
+  for (int v = 0; v < n; ++v) inc.start[v + 1] += inc.start[v];
+  inc.arcs.resize(2 * m);
+  std::vector<int> cursor(inc.start.begin(), inc.start.end() - 1);
+  for (int e = 0; e < static_cast<int>(m); ++e) {
+    const Edge& edge = net.edge(e);
+    inc.arcs[cursor[edge.from]++] = 2 * e;
+    inc.arcs[cursor[edge.to]++] = 2 * e + 1;
+  }
+  return inc;
+}
+
+namespace {
+
+/// BFS over one direction of the incidence: arcs of parity `parity` are
+/// followed to the other endpoint of their edge.
+std::vector<char> reach(const FlowNetwork& net, int start, int parity) {
+  const Incidence inc = incidence(net);
   std::vector<char> seen(net.num_vertices(), 0);
   std::queue<int> q;
   q.push(start);
@@ -72,32 +114,24 @@ std::vector<char> reachable_from(const FlowNetwork& net, int start) {
   while (!q.empty()) {
     const int v = q.front();
     q.pop();
-    for (int e : net.out_edges(v)) {
-      const int u = net.edge(e).to;
+    for (int arc : inc.at(v)) {
+      if ((arc & 1) != parity) continue;
+      const Edge& e = net.edge(arc >> 1);
+      const int u = parity ? e.from : e.to;
       if (!seen[u]) { seen[u] = 1; q.push(u); }
     }
   }
   return seen;
+}
+
+} // namespace
+
+std::vector<char> reachable_from(const FlowNetwork& net, int start) {
+  return reach(net, start, 0);
 }
 
 std::vector<char> reaches_to(const FlowNetwork& net, int target) {
-  std::vector<char> seen(net.num_vertices(), 0);
-  std::queue<int> q;
-  q.push(target);
-  seen[target] = 1;
-  while (!q.empty()) {
-    const int v = q.front();
-    q.pop();
-    for (int e : net.in_edges(v)) {
-      const int u = net.edge(e).from;
-      if (!seen[u]) { seen[u] = 1; q.push(u); }
-    }
-  }
-  return seen;
-}
-
-bool FlowNetwork::vertex_on_st_path(int v) const {
-  return reachable_from(*this, source_)[v] && reaches_to(*this, sink_)[v];
+  return reach(net, target, 1);
 }
 
 FlowNetwork paper_example_fig5() {

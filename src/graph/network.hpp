@@ -18,13 +18,19 @@ struct Edge {
   double capacity = 0.0;
 };
 
-/// A directed graph with distinguished source/sink and edge capacities.
-/// Parallel edges are allowed; self-loops are rejected (they cannot carry
-/// s-t flow and the crossbar has no diagonal widgets for them).
+/// A directed graph with distinguished source/sink and edge capacities,
+/// stored as one flat edge list — the only graph type of the library.
+/// Solvers that walk adjacency build the incidence CSR on demand
+/// (graph::incidence below). Parallel edges are allowed; self-loops are
+/// rejected (they cannot carry s-t flow and the crossbar has no diagonal
+/// widgets for them).
 class FlowNetwork {
  public:
   FlowNetwork() = default;
   FlowNetwork(int num_vertices, int source, int sink);
+  /// Adopts a whole edge list at once (the DIMACS reader's path: no
+  /// per-edge reallocation). Every edge is checked as add_edge checks it.
+  FlowNetwork(int num_vertices, int source, int sink, std::vector<Edge> edges);
 
   /// Adds a directed edge and returns its index.
   int add_edge(int from, int to, double capacity);
@@ -43,20 +49,7 @@ class FlowNetwork {
   const Edge& edge(int e) const { return edges_[e]; }
   std::span<const Edge> edges() const { return edges_; }
 
-  /// Edge indices leaving / entering `v`.
-  std::span<const int> out_edges(int v) const { return out_[v]; }
-  std::span<const int> in_edges(int v) const { return in_[v]; }
-
-  int out_degree(int v) const { return static_cast<int>(out_[v].size()); }
-  int in_degree(int v) const { return static_cast<int>(in_[v].size()); }
-  /// Degree counting both directions (the paper's N = j + k per vertex).
-  int degree(int v) const { return out_degree(v) + in_degree(v); }
-
   double max_capacity() const;
-
-  /// True if every vertex lies on some s-t path (relevant for substrate
-  /// sizing: other vertices map to unused crossbar columns).
-  bool vertex_on_st_path(int v) const;
 
   /// Throws std::invalid_argument when the instance is malformed
   /// (bad source/sink, non-positive capacity, self loop).
@@ -71,13 +64,32 @@ class FlowNetwork {
   }
 
  private:
+  void check_edge(const Edge& e) const;
+
   int num_vertices_ = 0;
   int source_ = 0;
   int sink_ = 0;
   std::vector<Edge> edges_;
-  std::vector<std::vector<int>> out_;
-  std::vector<std::vector<int>> in_;
 };
+
+/// Incidence CSR of a network: edge e appears as arc 2e in its tail's list
+/// (leaving) and as arc 2e+1 in its head's list (entering); each vertex's
+/// arcs are in ascending edge order. The same arc numbering indexes
+/// flow::detail::Residual's capacity array, so the residual adopts this
+/// structure as is.
+struct Incidence {
+  std::vector<int> start; // n + 1 offsets into arcs
+  std::vector<int> arcs;  // 2m arc ids
+
+  std::span<const int> at(int v) const {
+    return {arcs.data() + start[v],
+            static_cast<size_t>(start[v + 1] - start[v])};
+  }
+};
+
+/// Builds the incidence CSR in two O(n + m) passes. Throws std::length_error
+/// when 2m arcs overflow the int arc index (instances of 2^30 edges or more).
+Incidence incidence(const FlowNetwork& net);
 
 /// Vertices reachable from `start` following edge direction.
 std::vector<char> reachable_from(const FlowNetwork& net, int start);

@@ -15,6 +15,7 @@ namespace {
 std::vector<int> undirected_bfs_distance(const graph::FlowNetwork& net,
                                          int start) {
   constexpr int kInf = 1 << 29;
+  const graph::Incidence inc = graph::incidence(net);
   std::vector<int> dist(net.num_vertices(), kInf);
   std::queue<int> q;
   dist[start] = 0;
@@ -22,14 +23,14 @@ std::vector<int> undirected_bfs_distance(const graph::FlowNetwork& net,
   while (!q.empty()) {
     const int v = q.front();
     q.pop();
-    auto visit = [&](int u) {
+    for (int arc : inc.at(v)) {
+      const auto& edge = net.edge(arc >> 1);
+      const int u = (arc & 1) ? edge.from : edge.to;
       if (dist[u] > dist[v] + 1) {
         dist[u] = dist[v] + 1;
         q.push(u);
       }
-    };
-    for (int e : net.out_edges(v)) visit(net.edge(e).to);
-    for (int e : net.in_edges(v)) visit(net.edge(e).from);
+    }
   }
   return dist;
 }

@@ -313,8 +313,7 @@ TEST(DegradationLadder, FailedShardedRegionIsRetriedThenExact) {
   so.deterministic = true;
   const core::ShardedSolver solver(so);
   core::ShardReport rep;
-  const flow::MaxFlowResult r =
-      solver.solve_csr(graph::CsrGraph::from_network(net), &rep);
+  const flow::MaxFlowResult r = solver.solve_csr(net, &rep);
   EXPECT_DOUBLE_EQ(r.flow_value, expect);
   EXPECT_GE(rep.region_retries, 1);
   EXPECT_EQ(r.metrics.fallback_region_retries, rep.region_retries);
@@ -337,14 +336,13 @@ TEST(DegradationLadder, RegionRetryExhaustionFallsBackToDirectSolve) {
   so.deterministic = true;
   const core::ShardedSolver solver(so);
   core::ShardReport dry;
-  solver.solve_csr(graph::CsrGraph::from_network(net), &dry);
+  solver.solve_csr(net, &dry);
   ASSERT_GE(dry.regions, 2);
 
   const FaultGuard guard("shard.region:throw;shard.region:throw:after=" +
                          std::to_string(dry.regions - 1));
   core::ShardReport rep;
-  const flow::MaxFlowResult r =
-      solver.solve_csr(graph::CsrGraph::from_network(net), &rep);
+  const flow::MaxFlowResult r = solver.solve_csr(net, &rep);
   EXPECT_DOUBLE_EQ(r.flow_value, expect);
   EXPECT_GE(rep.region_retries, 1);
   EXPECT_GE(rep.region_direct_solves, 1)

@@ -175,3 +175,31 @@ TEST(CheckFlow, DetectsViolations) {
   bad.flow_value += 1.0; // wrong value
   EXPECT_NE(flow::check_flow(g, bad), "");
 }
+
+TEST(CheckFlow, ValidatesConservationAndCapacity) {
+  graph::FlowNetwork net(4, 0, 3);
+  net.add_edge(0, 1, 2.0);
+  net.add_edge(1, 3, 2.0);
+  net.add_edge(0, 2, 1.0);
+  net.add_edge(2, 3, 1.0);
+  const auto flow_of = [](std::vector<double> edge_flow, double value) {
+    flow::MaxFlowResult r;
+    r.edge_flow = std::move(edge_flow);
+    r.flow_value = value;
+    return r;
+  };
+
+  const std::vector<double> good{2.0, 2.0, 1.0, 1.0};
+  EXPECT_EQ(flow::check_flow(net, flow_of(good, 3.0)), "");
+
+  std::vector<double> over = good;
+  over[0] = 2.5; // above capacity
+  EXPECT_NE(flow::check_flow(net, flow_of(over, 3.5)), "");
+
+  std::vector<double> leaky = good;
+  leaky[1] = 1.0; // vertex 1 no longer conserves
+  EXPECT_NE(flow::check_flow(net, flow_of(leaky, 2.0)), "");
+
+  EXPECT_NE(flow::check_flow(net, flow_of(good, 2.0)), ""); // wrong value
+  EXPECT_NE(flow::check_flow(net, flow_of({1.0}, 1.0)), ""); // shape
+}

@@ -16,9 +16,8 @@ TEST(FlowNetwork, BasicConstruction) {
   EXPECT_EQ(e0, 0);
   EXPECT_EQ(e1, 1);
   EXPECT_EQ(net.num_edges(), 2);
-  EXPECT_EQ(net.out_degree(0), 1);
-  EXPECT_EQ(net.in_degree(3), 1);
-  EXPECT_EQ(net.degree(1), 2);
+  EXPECT_EQ(net.edge(e1).from, 1);
+  EXPECT_EQ(net.edge(e1).to, 3);
   EXPECT_DOUBLE_EQ(net.max_capacity(), 2.5);
   net.validate();
 }
@@ -41,8 +40,41 @@ TEST(FlowNetwork, Reachability) {
   const auto fwd = graph::reachable_from(net, 0);
   EXPECT_TRUE(fwd[0] && fwd[1] && fwd[3]);
   EXPECT_FALSE(fwd[2]);
-  EXPECT_TRUE(net.vertex_on_st_path(1));
-  EXPECT_FALSE(net.vertex_on_st_path(2));
+  const auto bwd = graph::reaches_to(net, 3);
+  EXPECT_TRUE(bwd[0] && bwd[1] && bwd[3]);
+  EXPECT_FALSE(bwd[2]);
+}
+
+TEST(FlowNetwork, IncidenceListsEachEdgeOncePerEndpoint) {
+  const auto net = graph::rmat(50, 240, {}, 11);
+  const graph::Incidence inc = graph::incidence(net);
+  ASSERT_EQ(inc.start.size(), static_cast<size_t>(net.num_vertices()) + 1);
+  EXPECT_EQ(inc.arcs.size(), 2 * static_cast<size_t>(net.num_edges()));
+  // Arc 2e sits at edge e's tail, arc 2e+1 at its head, in edge order.
+  std::vector<int> seen(inc.arcs.size(), 0);
+  for (int v = 0; v < net.num_vertices(); ++v) {
+    int last_edge = -1;
+    for (const int a : inc.at(v)) {
+      const graph::Edge& e = net.edge(a >> 1);
+      EXPECT_EQ((a & 1) ? e.to : e.from, v);
+      EXPECT_GT(a >> 1, last_edge);
+      last_edge = a >> 1;
+      ++seen[a];
+    }
+  }
+  for (const int count : seen) EXPECT_EQ(count, 1);
+}
+
+TEST(FlowNetwork, EdgeListConstructorChecksEveryEdge) {
+  const graph::FlowNetwork net(3, 0, 2, {{0, 1, 2.0}, {1, 2, 3.0}});
+  EXPECT_EQ(net.num_edges(), 2);
+  EXPECT_DOUBLE_EQ(net.edge(1).capacity, 3.0);
+  EXPECT_THROW(graph::FlowNetwork(3, 0, 2, {{0, 0, 1.0}}),
+               std::invalid_argument); // self loop
+  EXPECT_THROW(graph::FlowNetwork(3, 0, 2, {{0, 1, 0.0}}),
+               std::invalid_argument); // non-positive capacity
+  EXPECT_THROW(graph::FlowNetwork(3, 0, 2, {{0, 7, 1.0}}),
+               std::invalid_argument); // endpoint out of range
 }
 
 TEST(FlowNetwork, PaperExamples) {
@@ -120,8 +152,13 @@ TEST(Generators, LayeredRandomIsLayered) {
 
 TEST(Generators, UniformRandomConnectsTerminals) {
   const auto g = graph::uniform_random(30, 90, 20, 5);
-  EXPECT_GE(g.out_degree(g.source()), 1);
-  EXPECT_GE(g.in_degree(g.sink()), 1);
+  int source_out = 0, sink_in = 0;
+  for (const auto& e : g.edges()) {
+    source_out += e.from == g.source();
+    sink_in += e.to == g.sink();
+  }
+  EXPECT_GE(source_out, 1);
+  EXPECT_GE(sink_in, 1);
   g.validate();
 }
 
@@ -223,78 +260,10 @@ TEST(Dimacs, RoundTripPreservesFullCapacityPrecision) {
         << "capacity corrupted on edge " << e;
 }
 
-TEST(Csr, RoundTripsThroughFlowNetwork) {
-  const auto net = graph::rmat(50, 240, {}, 11);
-  const graph::CsrGraph g = graph::CsrGraph::from_network(net);
-  ASSERT_EQ(g.num_vertices(), net.num_vertices());
-  ASSERT_EQ(g.num_edges(), net.num_edges());
-  EXPECT_EQ(g.source(), net.source());
-  EXPECT_EQ(g.sink(), net.sink());
-  for (int e = 0; e < net.num_edges(); ++e) {
-    EXPECT_EQ(g.edge_from(e), net.edge(e).from);
-    EXPECT_EQ(g.edge_to(e), net.edge(e).to);
-    EXPECT_DOUBLE_EQ(g.edge_capacity(e), net.edge(e).capacity);
-  }
-  // Incidence covers every edge endpoint exactly once per direction.
-  std::int64_t arcs = 0;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    for (const std::int64_t a : g.arcs(v)) {
-      const std::int64_t e = graph::CsrGraph::arc_edge(a);
-      EXPECT_EQ(graph::CsrGraph::arc_is_out(a) ? g.edge_from(e) : g.edge_to(e),
-                v);
-      ++arcs;
-    }
-  }
-  EXPECT_EQ(arcs, 2 * g.num_edges());
-
-  const graph::FlowNetwork back = g.to_network();
-  ASSERT_EQ(back.num_edges(), net.num_edges());
-  for (int e = 0; e < net.num_edges(); ++e) {
-    EXPECT_EQ(back.edge(e).from, net.edge(e).from);
-    EXPECT_EQ(back.edge(e).to, net.edge(e).to);
-    EXPECT_DOUBLE_EQ(back.edge(e).capacity, net.edge(e).capacity);
-  }
-  double source_out = 0.0;
-  for (int e : net.out_edges(net.source()))
-    source_out += net.edge(e).capacity;
-  EXPECT_DOUBLE_EQ(g.source_out_capacity(), source_out);
-}
-
-TEST(Csr, RejectsMalformedEdges) {
-  EXPECT_THROW(graph::CsrGraph(3, 0, 2, {0}, {0}, {1.0}),
-               std::invalid_argument); // self loop
-  EXPECT_THROW(graph::CsrGraph(3, 0, 2, {0}, {1}, {0.0}),
-               std::invalid_argument); // non-positive capacity
-  EXPECT_THROW(graph::CsrGraph(3, 0, 2, {0}, {7}, {1.0}),
-               std::invalid_argument); // endpoint out of range
-  EXPECT_THROW(graph::CsrGraph(1, 0, 0, {}, {}, {}),
-               std::invalid_argument); // source == sink
-}
-
-TEST(Dimacs, StreamReaderMatchesClassicReader) {
-  const auto net = graph::uniform_random(60, 300, 40, 5);
-  std::stringstream ss;
-  graph::write_dimacs(ss, net);
-  const std::string text = ss.str();
-
-  std::stringstream classic_in(text), stream_in(text);
-  const graph::FlowNetwork classic = graph::read_dimacs(classic_in);
-  const graph::CsrGraph streamed = graph::read_dimacs_stream(stream_in);
-  ASSERT_EQ(streamed.num_vertices(), classic.num_vertices());
-  ASSERT_EQ(streamed.num_edges(), classic.num_edges());
-  EXPECT_EQ(streamed.source(), classic.source());
-  EXPECT_EQ(streamed.sink(), classic.sink());
-  for (int e = 0; e < classic.num_edges(); ++e) {
-    EXPECT_EQ(streamed.edge_from(e), classic.edge(e).from);
-    EXPECT_EQ(streamed.edge_to(e), classic.edge(e).to);
-    EXPECT_EQ(streamed.edge_capacity(e), classic.edge(e).capacity);
-  }
-}
-
-TEST(Dimacs, StreamReaderSkipSemanticsMatchClassicReader) {
-  // Self loops and non-positive capacities are dropped silently by both
-  // readers, and both still require the declared arc count to match the
-  // a-lines seen (not the arcs kept).
+TEST(Dimacs, ReaderSkipSemantics) {
+  // Self loops and non-positive capacities are dropped silently, and the
+  // declared arc count must still match the a-lines seen (not the arcs
+  // kept).
   const std::string text =
       "c skip semantics\n"
       "p max 4 4\n"
@@ -304,40 +273,38 @@ TEST(Dimacs, StreamReaderSkipSemanticsMatchClassicReader) {
       "a 2 2 9\n" // self loop: dropped
       "a 2 3 0\n" // zero capacity: dropped
       "a 3 4 6\n";
-  std::stringstream classic_in(text), stream_in(text);
-  const graph::FlowNetwork classic = graph::read_dimacs(classic_in);
-  const graph::CsrGraph streamed = graph::read_dimacs_stream(stream_in);
-  EXPECT_EQ(classic.num_edges(), 2);
-  EXPECT_EQ(streamed.num_edges(), 2);
-  EXPECT_EQ(streamed.edge_to(1), 3);
+  std::stringstream in(text);
+  const graph::FlowNetwork net = graph::read_dimacs(in);
+  EXPECT_EQ(net.num_edges(), 2);
+  EXPECT_EQ(net.edge(1).to, 3);
 }
 
-TEST(Dimacs, StreamReaderRejectsMalformedInput) {
+TEST(Dimacs, ReaderRejectsMalformedFields) {
   { // truncated: fewer a-lines than declared
     std::stringstream ss("p max 3 2\nn 1 s\nn 3 t\na 1 2 7\n");
-    EXPECT_THROW(graph::read_dimacs_stream(ss), std::runtime_error);
+    EXPECT_THROW(graph::read_dimacs(ss), std::runtime_error);
   }
   { // arc endpoint out of range
     std::stringstream ss("p max 2 1\nn 1 s\nn 2 t\na 1 9 3\n");
-    EXPECT_THROW(graph::read_dimacs_stream(ss), std::runtime_error);
+    EXPECT_THROW(graph::read_dimacs(ss), std::runtime_error);
   }
   { // no problem line
     std::stringstream ss("a 1 2 3\n");
-    EXPECT_THROW(graph::read_dimacs_stream(ss), std::runtime_error);
+    EXPECT_THROW(graph::read_dimacs(ss), std::runtime_error);
   }
   { // garbage field
     std::stringstream ss("p max 2 1\nn 1 s\nn 2 t\na 1 2 bogus\n");
-    EXPECT_THROW(graph::read_dimacs_stream(ss), std::runtime_error);
+    EXPECT_THROW(graph::read_dimacs(ss), std::runtime_error);
   }
 }
 
-TEST(Dimacs, StreamReaderDiagnosesTruncatedInput) {
+TEST(Dimacs, ReaderDiagnosesTruncatedInput) {
   { // truncated at a line boundary: the error must reconcile the declared
     // arc count against what was actually read, and name the last line, so
     // a cut-off multi-gigabyte transfer is diagnosable from the message.
     std::stringstream ss("p max 4 3\nn 1 s\nn 4 t\na 1 2 7\na 2 3 4\n");
     try {
-      graph::read_dimacs_stream(ss);
+      graph::read_dimacs(ss);
       FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error& e) {
       const std::string msg = e.what();
@@ -350,7 +317,7 @@ TEST(Dimacs, StreamReaderDiagnosesTruncatedInput) {
     // name the offending line number.
     std::stringstream ss("p max 4 3\nn 1 s\nn 4 t\na 1 2 7\na 2 3");
     try {
-      graph::read_dimacs_stream(ss);
+      graph::read_dimacs(ss);
       FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error& e) {
       const std::string msg = e.what();
@@ -361,17 +328,35 @@ TEST(Dimacs, StreamReaderDiagnosesTruncatedInput) {
 }
 
 TEST(Dimacs, ClassicReaderRefusesHugeArcCounts) {
-  // >= 2^31 arcs cannot be held by FlowNetwork's int edge ids; the classic
-  // reader must refuse up front (before consuming gigabytes) and point at
-  // the streaming path.
+  // >= 2^31 arcs cannot be held by FlowNetwork's int edge ids; the reader
+  // must refuse at the problem line, before consuming gigabytes.
   std::stringstream ss("p max 4 2147483648\nn 1 s\nn 4 t\n");
   try {
     graph::read_dimacs(ss);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("read_dimacs_stream"),
-              std::string::npos)
-        << e.what();
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("exceeds the int edge index"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+  }
+}
+
+TEST(Dimacs, ReaderRejectsOutOfRangeNodeDesignators) {
+  // A designator must name a vertex in 1..N; a wide id must not be cast
+  // down into a valid one (4294967297 wraps to vertex 0 as a 32-bit int).
+  for (const std::string bad : {"n 4294967297 s\nn 4 t\n",
+                                "n 1 s\nn 5 t\n", "n 0 s\nn 4 t\n",
+                                "n 1 s\nn -3 t\n"}) {
+    std::stringstream ss("p max 4 1\n" + bad + "a 1 4 2\n");
+    try {
+      graph::read_dimacs(ss);
+      ADD_FAILURE() << "expected std::runtime_error for " << bad;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("outside 1..4"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("line "), std::string::npos) << msg;
+    }
   }
 }
 
@@ -398,43 +383,19 @@ TEST(Generators, GridflowIsDeterministicAndWellFormed) {
 TEST(Generators, GridflowDimacsRenditionIsEdgeForEdgeIdentical) {
   // The in-memory generator and the O(1)-memory DIMACS emitter share one
   // walk, so the two renditions must agree edge for edge — that identity is
-  // what lets the sharded-solve battery compare the streamed path against
+  // what lets the sharded-solve battery compare the file path against
   // the in-memory path on "the same" instance.
   const auto net = graph::gridflow(7, 5, 12, 9);
   std::stringstream ss;
   graph::write_gridflow_dimacs(ss, 7, 5, 12, 9);
-  const graph::CsrGraph streamed = graph::read_dimacs_stream(ss);
-  ASSERT_EQ(streamed.num_vertices(), net.num_vertices());
-  ASSERT_EQ(streamed.num_edges(), net.num_edges());
-  EXPECT_EQ(streamed.source(), net.source());
-  EXPECT_EQ(streamed.sink(), net.sink());
+  const graph::FlowNetwork parsed = graph::read_dimacs(ss);
+  ASSERT_EQ(parsed.num_vertices(), net.num_vertices());
+  ASSERT_EQ(parsed.num_edges(), net.num_edges());
+  EXPECT_EQ(parsed.source(), net.source());
+  EXPECT_EQ(parsed.sink(), net.sink());
   for (int e = 0; e < net.num_edges(); ++e) {
-    EXPECT_EQ(streamed.edge_from(e), net.edge(e).from) << e;
-    EXPECT_EQ(streamed.edge_to(e), net.edge(e).to) << e;
-    EXPECT_EQ(streamed.edge_capacity(e), net.edge(e).capacity) << e;
+    EXPECT_EQ(parsed.edge(e).from, net.edge(e).from) << e;
+    EXPECT_EQ(parsed.edge(e).to, net.edge(e).to) << e;
+    EXPECT_EQ(parsed.edge(e).capacity, net.edge(e).capacity) << e;
   }
-}
-
-TEST(Csr, CheckCsrFlowValidatesConservationAndCapacity) {
-  graph::FlowNetwork net(4, 0, 3);
-  net.add_edge(0, 1, 2.0);
-  net.add_edge(1, 3, 2.0);
-  net.add_edge(0, 2, 1.0);
-  net.add_edge(2, 3, 1.0);
-  const graph::CsrGraph g = graph::CsrGraph::from_network(net);
-
-  const std::vector<double> good{2.0, 2.0, 1.0, 1.0};
-  EXPECT_TRUE(graph::check_csr_flow(g, good, 3.0).empty());
-
-  std::vector<double> over = good;
-  over[0] = 2.5; // above capacity
-  EXPECT_FALSE(graph::check_csr_flow(g, over, 3.5).empty());
-
-  std::vector<double> leaky = good;
-  leaky[1] = 1.0; // vertex 1 no longer conserves
-  EXPECT_FALSE(graph::check_csr_flow(g, leaky, 2.0).empty());
-
-  EXPECT_FALSE(graph::check_csr_flow(g, good, 2.0).empty()); // wrong value
-  const std::vector<double> short_flow{1.0};
-  EXPECT_FALSE(graph::check_csr_flow(g, short_flow, 1.0).empty()); // shape
 }

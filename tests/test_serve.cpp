@@ -98,6 +98,26 @@ TEST(ServeEngine, MalformedRequestsNeverTerminateTheEngine) {
   EXPECT_TRUE(json_bool(ok, "ok")) << ok;
 }
 
+TEST(ServeEngine, ReconfigureRejectsEdgeIndicesBeyondIntRange) {
+  // 4294967297 (2^32 + 1) and -4294967295 both narrow to edge 1 as a 32-bit
+  // int; they must be refused, not silently edit a valid edge.
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  EXPECT_TRUE(json_bool(engine.handle("load --spec grid:side=4,seed=1"), "ok"));
+  for (const char* bad : {"reconfigure --edits 4294967297:7.25",
+                          "reconfigure --edits 0:7.25,-4294967295:7.25"}) {
+    const std::string resp = engine.handle(bad);
+    EXPECT_FALSE(json_bool(resp, "ok")) << bad << " -> " << resp;
+    EXPECT_NE(resp.find("bad --edits item"), std::string::npos) << resp;
+  }
+  // Neither request touched the instance, so edge 1 still differs from the
+  // capacity the refused items named.
+  const std::string edit = engine.handle("reconfigure --edits 1:7.25");
+  EXPECT_TRUE(json_bool(edit, "ok")) << edit;
+  EXPECT_EQ(json_ll(edit, "edits_applied"), 1) << edit;
+}
+
 TEST(ServeEngine, SessionViewCountsThisSessionsRequests) {
   core::ServeOptions opt;
   opt.deterministic = true;

@@ -13,7 +13,6 @@
 #include "core/serve_engine.hpp"
 #include "core/sharded_solver.hpp"
 #include "flow/maxflow.hpp"
-#include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/network.hpp"
 
@@ -49,8 +48,7 @@ TEST(Sharded, MatchesDirectSolverAcrossGeneratorsAndShardCounts) {
       opt.shards = k;
       const core::ShardedSolver solver(opt);
       core::ShardReport rep;
-      const flow::MaxFlowResult r =
-          solver.solve_csr(graph::CsrGraph::from_network(net), &rep);
+      const flow::MaxFlowResult r = solver.solve_csr(net, &rep);
       const std::string label =
           "n=" + std::to_string(net.num_vertices()) + " k=" + std::to_string(k);
       EXPECT_NEAR(r.flow_value, exact, 1e-9 * std::max(1.0, exact)) << label;
@@ -87,17 +85,16 @@ TEST(Sharded, RegisteredWithShardedCapability) {
 
 TEST(Sharded, RejectsApproximateOrUnknownRegionSolvers) {
   const auto net = graph::rmat(40, 160, {}, 2);
-  const graph::CsrGraph g = graph::CsrGraph::from_network(net);
-  for (const std::string bad : {"analog_dc", "analog_transient",
+    for (const std::string bad : {"analog_dc", "analog_transient",
                                 "analog_dc_warm"}) {
     core::ShardOptions opt;
     opt.region_solver = bad;
-    EXPECT_THROW(core::ShardedSolver(opt).solve_csr(g), std::invalid_argument)
+    EXPECT_THROW(core::ShardedSolver(opt).solve_csr(net), std::invalid_argument)
         << bad;
   }
   core::ShardOptions unknown;
   unknown.region_solver = "no_such_backend";
-  EXPECT_THROW(core::ShardedSolver(unknown).solve_csr(g),
+  EXPECT_THROW(core::ShardedSolver(unknown).solve_csr(net),
                std::invalid_argument);
   EXPECT_THROW(core::ShardedSolver(core::ShardOptions{.shards = 0}),
                std::invalid_argument);
@@ -106,27 +103,25 @@ TEST(Sharded, RejectsApproximateOrUnknownRegionSolvers) {
 TEST(Sharded, ExactRegionSolversAllWork) {
   const auto net = graph::uniform_random(70, 320, 24, 5);
   const double exact = flow::dinic(net).flow_value;
-  const graph::CsrGraph g = graph::CsrGraph::from_network(net);
-  for (const std::string name : {"dinic", "edmonds_karp", "push_relabel"}) {
+    for (const std::string name : {"dinic", "edmonds_karp", "push_relabel"}) {
     core::ShardOptions opt;
     opt.shards = 4;
     opt.region_solver = name;
-    EXPECT_NEAR(core::ShardedSolver(opt).solve_csr(g).flow_value, exact, 1e-9)
+    EXPECT_NEAR(core::ShardedSolver(opt).solve_csr(net).flow_value, exact, 1e-9)
         << name;
   }
 }
 
 TEST(Sharded, DeterministicAcrossRunsAndThreadCounts) {
   const auto net = graph::rmat(110, 520, {}, 7);
-  const graph::CsrGraph g = graph::CsrGraph::from_network(net);
-  core::ShardOptions a;
+    core::ShardOptions a;
   a.shards = 4;
   a.num_threads = 1;
   core::ShardOptions b = a;
   b.num_threads = 0; // hardware concurrency
   core::ShardReport ra, rb;
-  const flow::MaxFlowResult fa = core::ShardedSolver(a).solve_csr(g, &ra);
-  const flow::MaxFlowResult fb = core::ShardedSolver(b).solve_csr(g, &rb);
+  const flow::MaxFlowResult fa = core::ShardedSolver(a).solve_csr(net, &ra);
+  const flow::MaxFlowResult fb = core::ShardedSolver(b).solve_csr(net, &rb);
   // Regions write disjoint slots and refinement is sequential, so the
   // result is bit-identical regardless of the worker schedule.
   EXPECT_EQ(fa.flow_value, fb.flow_value);
@@ -141,19 +136,18 @@ TEST(Sharded, DeterministicAcrossRunsAndThreadCounts) {
 TEST(Sharded, DegenerateShardCountsFallBackToDirectSolve) {
   const auto net = graph::rmat(50, 200, {}, 4);
   const double exact = flow::dinic(net).flow_value;
-  const graph::CsrGraph g = graph::CsrGraph::from_network(net);
-
+  
   core::ShardOptions one;
   one.shards = 1;
   core::ShardReport rep;
-  EXPECT_NEAR(core::ShardedSolver(one).solve_csr(g, &rep).flow_value, exact,
+  EXPECT_NEAR(core::ShardedSolver(one).solve_csr(net, &rep).flow_value, exact,
               1e-9);
   EXPECT_EQ(rep.regions, 1);
 
   // shards > n clamps to the vertex count instead of throwing.
   core::ShardOptions many;
   many.shards = 10 * net.num_vertices();
-  EXPECT_NEAR(core::ShardedSolver(many).solve_csr(g).flow_value, exact, 1e-9);
+  EXPECT_NEAR(core::ShardedSolver(many).solve_csr(net).flow_value, exact, 1e-9);
 }
 
 TEST(Sharded, TinyAndDisconnectedInstances) {
@@ -162,10 +156,8 @@ TEST(Sharded, TinyAndDisconnectedInstances) {
   tiny.add_edge(0, 1, 3.0);
   core::ShardOptions opt;
   opt.shards = 8;
-  EXPECT_NEAR(
-      core::ShardedSolver(opt).solve_csr(graph::CsrGraph::from_network(tiny))
-          .flow_value,
-      3.0, 1e-12);
+  EXPECT_NEAR(core::ShardedSolver(opt).solve_csr(tiny).flow_value, 3.0,
+              1e-12);
 
   // Disconnected terminals: zero flow, no crash at any stage.
   graph::FlowNetwork split(6, 0, 5);
@@ -176,11 +168,8 @@ TEST(Sharded, TinyAndDisconnectedInstances) {
   core::ShardOptions k3;
   k3.shards = 3;
   core::ShardReport rep;
-  EXPECT_NEAR(
-      core::ShardedSolver(k3).solve_csr(graph::CsrGraph::from_network(split),
-                                        &rep)
-          .flow_value,
-      0.0, 1e-12);
+  EXPECT_NEAR(core::ShardedSolver(k3).solve_csr(split, &rep).flow_value, 0.0,
+              1e-12);
   EXPECT_GE(rep.upper_bound, 0.0);
 }
 

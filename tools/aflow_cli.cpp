@@ -11,8 +11,7 @@
 //               [--json FILE]
 //
 // `solve --shards K` is the huge-instance path (DESIGN.md "Sharded solve"):
-// the input streams from disk into a compact CSR view — the full
-// FlowNetwork adjacency structure is never materialised — then k-way region
+// the input is read into its flat edge list, then k-way region
 // decomposition, parallel region solves, and an exact refinement pass.
 // `gen` writes a generator spec as a DIMACS file; the gridflow kind streams
 // in O(1) memory, so generating a million-node instance costs no RAM.
@@ -119,28 +118,12 @@ void write_bench_json(const std::string& path, const std::string& batch,
   const double iters =
       static_cast<double>(m.warm_iterations + m.cold_iterations);
   j.key("metrics").begin_object();
-  j.field("iterations", m.iterations);
-  j.field("full_factors", m.full_factors);
-  j.field("refactors", m.refactors);
-  j.field("prototype_refactors", m.prototype_refactors);
+  core::write_metrics_fields(j, m);
   j.field("refactor_share",
           factors > 0.0 ? static_cast<double>(m.refactors) / factors : 0.0);
-  j.field("rhs_refreshes", m.rhs_refreshes);
-  j.field("warm_iterations", m.warm_iterations);
-  j.field("cold_iterations", m.cold_iterations);
   j.field("warm_share",
           iters > 0.0 ? static_cast<double>(m.warm_iterations) / iters : 0.0);
   j.field("warm_started_instances", report.warm_started_instances);
-  j.field("pool_hits", m.pool_hits);
-  j.field("pool_misses", m.pool_misses);
-  j.field("pool_evictions", m.pool_evictions);
-  j.field("delta_solves", m.delta_solves);
-  j.field("delta_fallbacks", m.delta_fallbacks);
-  j.field("edges_touched", m.edges_touched);
-  j.field("fallback_analog_digital", m.fallback_analog_digital);
-  j.field("fallback_region_retries", m.fallback_region_retries);
-  j.field("fallback_region_direct", m.fallback_region_direct);
-  j.field("fallback_pool_rebuilds", m.fallback_pool_rebuilds);
   j.end_object();
 
   j.key("per_instance").begin_array();
@@ -179,10 +162,10 @@ int cmd_solvers() {
   return 0;
 }
 
-/// `solve --shards K`: stream the instance from disk into the compact CSR
-/// view and run the sharded decomposition solver on it. The in-memory
-/// FlowNetwork path is never touched, which is the whole point — a
-/// million-node instance fits where the per-vertex adjacency vectors don't.
+/// `solve --shards K`: read the instance into its flat edge list (16 bytes
+/// per edge) and run the sharded decomposition solver on it; the only
+/// per-vertex structures are the partition's and the refinement
+/// residual's.
 int cmd_solve_sharded(int argc, char** argv, const std::string& input,
                       int shards) {
   core::ShardOptions options;
@@ -192,17 +175,17 @@ int cmd_solve_sharded(int argc, char** argv, const std::string& input,
   options.num_threads = arg_int(argc, argv, "--threads", 0);
   options.seed = static_cast<std::uint64_t>(arg_int(argc, argv, "--seed", 1));
 
-  const graph::CsrGraph g = graph::read_dimacs_stream_file(input);
+  const graph::FlowNetwork net = graph::read_dimacs_file(input);
   const core::ShardedSolver solver(options);
   core::ShardReport rep;
-  const flow::MaxFlowResult result = solver.solve_csr(g, &rep);
+  const flow::MaxFlowResult result = solver.solve_csr(net, &rep);
 
-  std::printf("instance:  %s (%d vertices, %lld edges)\n", input.c_str(),
-              g.num_vertices(), static_cast<long long>(g.num_edges()));
+  std::printf("instance:  %s (%d vertices, %d edges)\n", input.c_str(),
+              net.num_vertices(), net.num_edges());
   std::printf("solver:    sharded (%d regions, region solver %s, %d threads)\n",
               rep.regions, options.region_solver.c_str(), rep.threads_used);
-  std::printf("cut arcs:  %lld (capacity %.10g)\n",
-              static_cast<long long>(rep.cut_arcs), rep.cut_capacity);
+  std::printf("cut arcs:  %d (capacity %.10g)\n", rep.cut_arcs,
+              rep.cut_capacity);
   std::printf("bound:     %.10g (pre-refinement upper bound)\n",
               rep.upper_bound);
   std::printf("stitched:  %.10g  refined: +%.10g\n", rep.stitched_value,
@@ -215,8 +198,7 @@ int cmd_solve_sharded(int argc, char** argv, const std::string& input,
               rep.stitch_seconds * 1e3, rep.refine_seconds * 1e3);
 
   if (arg_flag(argc, argv, "--check")) {
-    const std::string err =
-        graph::check_csr_flow(g, result.edge_flow, result.flow_value);
+    const std::string err = flow::check_flow(net, result);
     if (!err.empty()) {
       std::fprintf(stderr, "FAIL: %s\n", err.c_str());
       return 1;

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Intra-repo documentation link and citation checker (CI gate).
 
-Two classes of reference are validated, and the script exits nonzero with a
-per-failure report if any dangles:
+Three classes of reference are validated, and the script exits nonzero with
+a per-failure report if any dangles:
 
 1. Markdown links. Every ``[text](target)`` in a tracked ``*.md`` file whose
    target is not an external URL must resolve to an existing file (relative
@@ -18,6 +18,12 @@ per-failure report if any dangles:
    and live inside C string literals (``\\"`` and ``%%`` are normalised
    before matching).
 
+3. Metrics keys. Every key that ``core::write_metrics_fields``
+   (``src/core/batch_engine.cpp``), the one ``SolveMetrics`` JSON writer
+   behind serve responses and ``aflow bench --json``, emits must name a
+   table row of ``docs/BENCH_FORMAT.md`` (a backticked name in the row's
+   first cell).
+
 Stdlib only; run from anywhere inside the repo.
 """
 import re
@@ -29,6 +35,9 @@ CODE_DIRS = ["src", "tests", "bench", "tools"]
 CODE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".py"}
 SKIP_DIRS = {".git", "build", ".claude"}
 CITED_DOCS = ("DESIGN.md", "EXPERIMENTS.md")
+
+METRICS_WRITER = REPO / "src" / "core" / "batch_engine.cpp"
+METRICS_DOC = REPO / "docs" / "BENCH_FORMAT.md"
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CITATION = re.compile(
@@ -81,8 +90,40 @@ def normalise_code(text):
     return re.sub(r"  +", " ", text)
 
 
+def metrics_writer_keys():
+    """Keys in the body of write_metrics_fields, in write order."""
+    text = METRICS_WRITER.read_text(encoding="utf-8")
+    body = re.search(r"^void write_metrics_fields\(.*?^\}", text, re.S | re.M)
+    return re.findall(r'j\.field\("(\w+)"', body.group(0)) if body else []
+
+
+def documented_table_keys(md_path):
+    """Backticked names in the first cell of every markdown table row."""
+    keys = set()
+    for line in md_path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("|"):
+            keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    return keys
+
+
+def check_metrics_keys(failures):
+    keys = metrics_writer_keys()
+    if not keys:
+        failures.append(
+            f"{METRICS_WRITER.relative_to(REPO)}: no write_metrics_fields "
+            f"body with j.field keys found")
+        return
+    documented = documented_table_keys(METRICS_DOC)
+    for key in keys:
+        if key not in documented:
+            failures.append(
+                f"{METRICS_DOC.relative_to(REPO)}: metrics key `{key}` "
+                f"(written by core::write_metrics_fields) has no table row")
+
+
 def main():
     failures = []
+    check_metrics_keys(failures)
 
     for md in md_files():
         rel = md.relative_to(REPO)
@@ -125,7 +166,8 @@ def main():
         for f in failures:
             print(f"  {f}")
         return 1
-    print("check_doc_links: all markdown links and doc citations resolve.")
+    print("check_doc_links: all markdown links and doc citations resolve, "
+          "and every metrics key is documented.")
     return 0
 
 
