@@ -58,7 +58,7 @@ PathTotals run_path(const std::vector<graph::FlowNetwork>& instances,
     t.flow += r.flow_value;
     t.full_factors += r.full_factors;
     t.refactors += r.refactors;
-    t.solves += r.solves;
+    t.solves += r.iterations;
     t.flows.push_back(r.flow_value);
   }
   return t;

@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
         if (r.side[e.from] && !r.side[e.to]) side_cut += e.capacity;
       ++solved;
       if (std::abs(side_cut - cut.cut_value) < 1e-6) ++exact_partitions;
-      std::printf("%6d %6d %6d %10.0f %12.0f %12.2f %10.2f %8d\n", seed,
+      std::printf("%6d %6d %6d %10.0f %12.0f %12.2f %10.2f %8lld\n", seed,
                   g.num_vertices(), g.num_edges(), cut.cut_value, side_cut,
-                  r.cut_value, r.flow_value, r.dc_iterations);
+                  r.cut_value, r.flow_value, r.iterations);
     } catch (const std::exception&) {
       std::printf("%6d %6d %6d %10.0f %12s\n", seed, g.num_vertices(),
                   g.num_edges(), cut.cut_value, "(no op point)");

@@ -96,7 +96,7 @@ PathTotals run_path(const std::vector<graph::FlowNetwork>& instances,
     t.refactors += r.refactors;
     t.prototype_refactors += r.prototype_refactors;
     t.rhs_refreshes += r.rhs_refreshes;
-    t.solves += r.solves;
+    t.solves += r.iterations;
     if (r.warm_started) t.warm_started++;
   }
   return t;

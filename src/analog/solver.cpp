@@ -152,7 +152,7 @@ AnalogFlowResult AnalogMaxFlowSolver::solve_steady_state(
     if (warm && warm->state &&
         !warm->shapes_match(c.netlist, solver.assembler().num_unknowns())) {
       pool->drop(pool_key);
-      out.pool_rebuilds = 1;
+      out.fallback_pool_rebuilds = 1;
     }
     if (warm &&
         warm->shapes_match(c.netlist, solver.assembler().num_unknowns())) {
@@ -214,8 +214,7 @@ AnalogFlowResult AnalogMaxFlowSolver::solve_steady_state(
   }
 
   fill_common(c, solver.assembler(), x, net, out);
-  out.solves = out.dc_iterations;
-  out.factorizations = out.full_factors + out.refactors;
+  out.iterations = out.dc_iterations;
   return out;
 }
 
@@ -256,15 +255,15 @@ AnalogFlowResult AnalogMaxFlowSolver::solve_transient(
   // previous same-pattern instance's factors. (No device-state carry for
   // transient: the run must start from rest — the convergence time IS the
   // measured quantity.)
+  AnalogFlowResult out;
   core::ReusePool* pool =
       options_.reuse_factorization ? options_.reuse_pool.get() : nullptr;
   std::uint64_t pool_key = 0;
-  long long pool_hits = 0, pool_misses = 0, pool_evictions = 0;
   if (pool) {
     pool_key = solver.pattern_key();
     const std::shared_ptr<const core::ReuseEntry> entry = pool->find(pool_key);
-    pool_hits = entry ? 1 : 0;
-    pool_misses = entry ? 0 : 1;
+    out.pool_hits = entry ? 1 : 0;
+    out.pool_misses = entry ? 0 : 1;
     if (entry && entry->lu) solver.set_lu_prototype(entry->lu);
   }
 
@@ -274,28 +273,23 @@ AnalogFlowResult AnalogMaxFlowSolver::solve_transient(
   if (pool) {
     core::ReuseEntry entry;
     entry.lu = solver.share_factorization();
-    pool_evictions = pool->store(pool_key, std::move(entry));
+    out.pool_evictions = pool->store(pool_key, std::move(entry));
   }
 
   // Convert the Iflow series into the flow value J(t) (volts, Eq. 7a).
   for (auto& row : wf.samples) row[0] = c.flow_value_volts_from_iflow(row[0]);
   wf.labels[0] = "J";
 
-  AnalogFlowResult out;
   // Read the solution directly off the last accepted transient step (the
   // run stops only once the probes are settled).
   fill_common(c, solver.assembler(), solver.last_solution(), net, out);
   out.convergence_time = sim::convergence_time(
       wf.time, wf.series(0), options_.convergence_band);
-  out.factorizations = solver.stats().factorizations;
   out.full_factors = solver.stats().full_factors;
   out.refactors = solver.stats().refactors;
   out.prototype_refactors = solver.stats().prototype_refactors;
   out.rhs_refreshes = solver.stats().rhs_refreshes;
-  out.solves = solver.stats().solves;
-  out.pool_hits = pool_hits;
-  out.pool_misses = pool_misses;
-  out.pool_evictions = pool_evictions;
+  out.iterations = solver.stats().solves;
   out.waveform = std::move(wf);
   return out;
 }

@@ -76,7 +76,14 @@ struct AnalogSolveOptions {
   double delta_max_edge_fraction = 0.25;
 };
 
-struct AnalogFlowResult {
+/// The counters come from the flow::SolveMetrics base: `iterations` counts
+/// linear solves (DC iterations, or transient steps), warm_started marks a
+/// result from a warm-started solve (cross-instance device state, homotopy
+/// skipped), pool_* is this solve's ReusePool traffic (zero without a pool),
+/// exactly one of delta_solves / delta_fallbacks ticks per solve_delta
+/// call, and fallback_pool_rebuilds marks a stale pooled entry dropped and
+/// rebuilt by this solve's closing store.
+struct AnalogFlowResult : flow::SolveMetrics {
   /// Flow value in problem units from the per-edge ("debug") readout.
   double flow_value = 0.0;
   /// Flow value from the hardware readout J = t*Vflow - r*Iflow (Eq. 7a).
@@ -92,35 +99,8 @@ struct AnalogFlowResult {
 
   MapperCounts counts;
   double steady_iflow = 0.0; // amps delivered by the Vflow source
-  long long factorizations = 0; // total = full_factors + refactors
-  long long full_factors = 0;   // factorisations incl. symbolic analysis
-  long long refactors = 0;      // numeric-only fast-path factorisations
-  long long prototype_refactors = 0; // refactors via a cross-instance prototype
-  long long solves = 0;
-  long long rhs_refreshes = 0;  // transient RHS-only incremental updates
+  /// DC Newton/PWL iterations; warm + cold iterations == dc_iterations.
   int dc_iterations = 0;
-  /// Warm-start telemetry: true when the result came from a warm-started
-  /// solve (cross-instance device state, homotopy skipped); the iteration
-  /// split always satisfies warm + cold == dc_iterations.
-  bool warm_started = false;
-  int warm_iterations = 0;
-  int cold_iterations = 0;
-  /// ReusePool traffic of this solve (zero without a pool): one lookup per
-  /// solve, plus the LRU evictions the closing store triggered.
-  long long pool_hits = 0;
-  long long pool_misses = 0;
-  long long pool_evictions = 0;
-  /// Delta-path telemetry (solve_delta): exactly one of delta_solves /
-  /// delta_fallbacks per solve_delta call — fast path (warm re-convergence
-  /// from the pooled operating point) vs full solve; edges_touched counts
-  /// the delta's distinct edited edges either way.
-  long long delta_solves = 0;
-  long long delta_fallbacks = 0;
-  long long edges_touched = 0;
-  /// Degradation-ladder telemetry: a pooled warm-start entry whose shapes
-  /// no longer matched this pattern (corrupt or stale) was dropped from the
-  /// pool and rebuilt by this solve's closing store.
-  long long pool_rebuilds = 0;
 
   /// Relative error against an exact flow value.
   double relative_error(double exact) const {

@@ -270,27 +270,9 @@ BatchReport BatchEngine::run_delta(const graph::FlowNetwork& base,
 }
 
 void write_metrics_fields(util::JsonWriter& j, const flow::SolveMetrics& m) {
-  j.field("iterations", m.iterations);
-  j.field("full_factors", m.full_factors);
-  j.field("refactors", m.refactors);
-  j.field("prototype_refactors", m.prototype_refactors);
-  j.field("rhs_refreshes", m.rhs_refreshes);
-  j.field("warm_iterations", m.warm_iterations);
-  j.field("cold_iterations", m.cold_iterations);
-  j.field("pool_hits", m.pool_hits);
-  j.field("pool_misses", m.pool_misses);
-  j.field("pool_evictions", m.pool_evictions);
-  j.field("delta_solves", m.delta_solves);
-  j.field("delta_fallbacks", m.delta_fallbacks);
-  j.field("edges_touched", m.edges_touched);
-  j.field("injected_excess_arcs", m.injected_excess_arcs);
-  j.field("returned_excess_walks", m.returned_excess_walks);
-  j.field("phase2_fallbacks", m.phase2_fallbacks);
-  j.field("warm_escalations", m.warm_escalations);
-  j.field("fallback_analog_digital", m.fallback_analog_digital);
-  j.field("fallback_region_retries", m.fallback_region_retries);
-  j.field("fallback_region_direct", m.fallback_region_direct);
-  j.field("fallback_pool_rebuilds", m.fallback_pool_rebuilds);
+#define AFLOW_WRITE_COUNTER(name) j.field(#name, m.name);
+  AFLOW_SOLVE_COUNTERS(AFLOW_WRITE_COUNTER)
+#undef AFLOW_WRITE_COUNTER
 }
 
 void write_metrics_json(util::JsonWriter& j, const flow::SolveMetrics& m) {

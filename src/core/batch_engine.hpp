@@ -64,9 +64,9 @@ struct BatchReport {
 };
 
 /// Writes every SolveMetrics counter as a field of the JSON object the
-/// caller has open: the one metrics writer behind serve responses and
-/// `aflow bench --json`. Each key has a row in docs/BENCH_FORMAT.md, which
-/// tools/check_doc_links.py enforces.
+/// caller has open, in AFLOW_SOLVE_COUNTERS order: the one metrics writer
+/// behind serve responses and `aflow bench --json`. Each key has a row in
+/// docs/BENCH_FORMAT.md, which tools/check_doc_links.py enforces.
 void write_metrics_fields(util::JsonWriter& j, const flow::SolveMetrics& m);
 /// The same fields as one complete JSON object.
 void write_metrics_json(util::JsonWriter& j, const flow::SolveMetrics& m);

@@ -99,22 +99,8 @@ class AnalogSolverAdapter final : public ISolver {
     flow::MaxFlowResult out;
     out.flow_value = r.flow_value;
     out.edge_flow = r.edge_flow;
-    out.operations = r.solves;
-    out.metrics.iterations = r.solves;
-    out.metrics.full_factors = r.full_factors;
-    out.metrics.refactors = r.refactors;
-    out.metrics.prototype_refactors = r.prototype_refactors;
-    out.metrics.rhs_refreshes = r.rhs_refreshes;
-    out.metrics.warm_iterations = r.warm_iterations;
-    out.metrics.cold_iterations = r.cold_iterations;
-    out.metrics.warm_started = r.warm_started;
-    out.metrics.pool_hits = r.pool_hits;
-    out.metrics.pool_misses = r.pool_misses;
-    out.metrics.pool_evictions = r.pool_evictions;
-    out.metrics.delta_solves = r.delta_solves;
-    out.metrics.delta_fallbacks = r.delta_fallbacks;
-    out.metrics.edges_touched = r.edges_touched;
-    out.metrics.fallback_pool_rebuilds = r.pool_rebuilds;
+    out.operations = r.iterations;
+    out.metrics = r;
     return out;
   }
 

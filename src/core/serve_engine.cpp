@@ -159,22 +159,6 @@ void write_pool_json(util::JsonWriter& j, const ReusePool& pool) {
   j.end_object();
 }
 
-/// SolveMetrics view of one sweep run, so sweep traffic aggregates through
-/// the same per-session / shared-engine scopes as solver-bank traffic.
-flow::SolveMetrics sweep_as_metrics(const sim::SweepStats& s) {
-  flow::SolveMetrics m;
-  m.iterations = s.dc_iterations;
-  m.warm_iterations = s.warm_iterations;
-  m.cold_iterations = s.cold_iterations;
-  m.full_factors = s.full_factors;
-  m.refactors = s.refactors;
-  m.warm_started = s.warm_started;
-  m.pool_hits = s.pool_hits;
-  m.pool_misses = s.pool_misses;
-  m.pool_evictions = s.pool_evictions;
-  return m;
-}
-
 /// Folds one batch report into one accumulation scope. The per-session
 /// and shared-bank scopes MUST fold identically — the concurrency tests
 /// pin that summing session counters reproduces the bank counters — so
@@ -186,20 +170,6 @@ void fold_report(const BatchReport& report, long long& solves,
   failed += report.failed;
   seconds += report.wall_seconds;
   metrics += report.metrics;
-}
-
-flow::SolveMetrics mincut_as_metrics(const mincut::AnalogMinCutResult& r) {
-  flow::SolveMetrics m;
-  m.iterations = r.dc_iterations;
-  m.warm_iterations = r.warm_iterations;
-  m.cold_iterations = r.cold_iterations;
-  m.full_factors = r.full_factors;
-  m.refactors = r.refactors;
-  m.warm_started = r.warm_started;
-  m.pool_hits = r.pool_hits;
-  m.pool_misses = r.pool_misses;
-  m.pool_evictions = r.pool_evictions;
-  return m;
 }
 
 } // namespace
@@ -244,10 +214,10 @@ int ServeEngine::open_sessions() const {
   return open_sessions_;
 }
 
-void ServeEngine::set_front_stats_provider(
-    std::function<FrontStatsSnapshot()> provider) {
+void ServeEngine::set_front_stats_writer(
+    std::function<void(util::JsonWriter&)> writer) {
   const std::lock_guard<std::mutex> lock(telemetry_mutex_);
-  front_stats_ = std::move(provider);
+  front_stats_ = std::move(writer);
 }
 
 std::string ServeEngine::reject_line() const {
@@ -355,23 +325,11 @@ void ServeEngine::write_stats(util::JsonWriter& j) {
   write_pool_json(j, *mincut_pool_);
 
   // Transport-plane counters, present only when a serving front is running
-  // (absent in stdin mode and in-process tests). The provider just
-  // snapshots the front's atomics — safe under telemetry_mutex_.
+  // (absent in stdin mode and in-process tests). The front's writer only
+  // reads its own atomics — safe under telemetry_mutex_.
   if (front_stats_) {
-    const FrontStatsSnapshot f = front_stats_();
     j.key("front").begin_object();
-    j.field("io_threads", f.io_threads);
-    j.field("workers", f.workers);
-    j.field("accepted_unix", f.accepted_unix);
-    j.field("accepted_tcp", f.accepted_tcp);
-    j.field("rejected", f.rejected);
-    j.field("open_connections", f.open_connections);
-    j.field("requests_queued", f.requests_queued);
-    j.field("responses_written", f.responses_written);
-    j.field("backpressure_pauses", f.backpressure_pauses);
-    j.field("oversized_frames", f.oversized_frames);
-    j.field("hangup_cancels", f.hangup_cancels);
-    j.field("short_writes", f.short_writes);
+    front_stats_(j);
     j.end_object();
   }
 }
@@ -798,13 +756,12 @@ void ServeSession::cmd_sweep(const std::vector<std::string>& t,
   for (int i = 0; i < points; ++i) values[i] = vmax * (i + 1) / points;
   const sim::SweepResult r =
       sweep.run(values, {sim::Probe::source_current(c.vflow_source, "Iflow")});
-  const flow::SolveMetrics m = sweep_as_metrics(r.stats);
   ++sweeps_;
-  sweep_metrics_ += m;
+  sweep_metrics_ += r.stats;
   {
     const std::lock_guard<std::mutex> lock(engine_.telemetry_mutex_);
     ++engine_.sweeps_;
-    engine_.sweep_metrics_ += m;
+    engine_.sweep_metrics_ += r.stats;
   }
 
   const double iflow = r.trajectory.back().front();
@@ -815,7 +772,7 @@ void ServeSession::cmd_sweep(const std::vector<std::string>& t,
   j.field("breakpoints", r.breakpoints.size());
   j.key("telemetry").begin_object();
   j.field("warm_started", r.stats.warm_started);
-  j.field("dc_iterations", r.stats.dc_iterations);
+  j.field("dc_iterations", r.stats.iterations);
   j.field("warm_iterations", r.stats.warm_iterations);
   j.field("cold_iterations", r.stats.cold_iterations);
   j.field("full_factors", r.stats.full_factors);
@@ -836,13 +793,12 @@ void ServeSession::cmd_mincut(const std::vector<std::string>& t,
   opt.reuse_pool = engine_.mincut_pool_;
   opt.cancel = request_token(t);
   const mincut::AnalogMinCutResult r = mincut::solve_mincut_dual(net, opt);
-  const flow::SolveMetrics m = mincut_as_metrics(r);
   ++mincuts_;
-  mincut_metrics_ += m;
+  mincut_metrics_ += r;
   {
     const std::lock_guard<std::mutex> lock(engine_.telemetry_mutex_);
     ++engine_.mincuts_;
-    engine_.mincut_metrics_ += m;
+    engine_.mincut_metrics_ += r;
   }
 
   double partition_cut = 0.0;
@@ -855,7 +811,7 @@ void ServeSession::cmd_mincut(const std::vector<std::string>& t,
   j.field("flow_recovered", r.flow_value);
   j.key("telemetry").begin_object();
   j.field("warm_started", r.warm_started);
-  j.field("dc_iterations", r.dc_iterations);
+  j.field("dc_iterations", r.iterations);
   j.field("warm_iterations", r.warm_iterations);
   j.field("cold_iterations", r.cold_iterations);
   j.field("pool_hits", r.pool_hits);

@@ -91,26 +91,6 @@ namespace aflow::core {
 
 class ServeEngine;
 
-/// Point-in-time copy of the serving front's I/O-plane counters. The front
-/// registers a provider with the engine while it runs, so the `stats`
-/// response can report the transport plane (a "front" object, documented in
-/// docs/BENCH_FORMAT.md) next to the solver banks. Plain values, not
-/// atomics: providers snapshot whatever counters they keep.
-struct FrontStatsSnapshot {
-  long long accepted_unix = 0;
-  long long accepted_tcp = 0;
-  long long rejected = 0;
-  long long open_connections = 0;
-  long long requests_queued = 0;
-  long long responses_written = 0;
-  long long backpressure_pauses = 0;
-  long long oversized_frames = 0;
-  long long hangup_cancels = 0;
-  long long short_writes = 0;
-  int io_threads = 0;
-  int workers = 0;
-};
-
 struct ServeOptions {
   /// Backend used by `solve`/`batch` when the request names none.
   std::string default_solver = "analog_dc_warm";
@@ -267,10 +247,11 @@ class ServeEngine {
   void request_shutdown() { shutdown_.store(true); }
 
   /// Registers (or, with nullptr, clears) the callback `stats` uses to
-  /// include the serving front's counters. The provider must be callable
-  /// from any session thread and must not call back into the engine. The
-  /// front registers itself for the duration of run().
-  void set_front_stats_provider(std::function<FrontStatsSnapshot()> provider);
+  /// fill its "front" object (docs/BENCH_FORMAT.md) with the serving
+  /// front's counters; the engine opens and closes the object. The writer
+  /// must be callable from any session thread and must not call back into
+  /// the engine. The front registers itself for the duration of run().
+  void set_front_stats_writer(std::function<void(util::JsonWriter&)> writer);
 
   const ServeOptions& options() const { return options_; }
   /// Concurrent workers a batch request fans across (resolved from
@@ -323,9 +304,9 @@ class ServeEngine {
   long long sessions_opened_ = 0;
   std::atomic<long long> requests_{0}; // engine-wide request total
 
-  /// Serving-front counter source for `stats` (guarded by telemetry_mutex_;
+  /// Serving-front counter writer for `stats` (guarded by telemetry_mutex_;
   /// set while a front runs, empty otherwise).
-  std::function<FrontStatsSnapshot()> front_stats_;
+  std::function<void(util::JsonWriter&)> front_stats_;
 
   // The sweep and min-cut requests run on the calling session's thread;
   // one shared pool and ordering cache each, synchronized internally.

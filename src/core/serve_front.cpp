@@ -594,21 +594,12 @@ void ServeFront::run() {
 
   FrontRuntime runtime(engine_, options_, telemetry_, *impl_);
 
-  engine_.set_front_stats_provider([this] {
-    FrontStatsSnapshot s;
-    s.accepted_unix = telemetry_.accepted_unix.load();
-    s.accepted_tcp = telemetry_.accepted_tcp.load();
-    s.rejected = telemetry_.rejected.load();
-    s.open_connections = telemetry_.open_connections.load();
-    s.requests_queued = telemetry_.requests_queued.load();
-    s.responses_written = telemetry_.responses_written.load();
-    s.backpressure_pauses = telemetry_.backpressure_pauses.load();
-    s.oversized_frames = telemetry_.oversized_frames.load();
-    s.hangup_cancels = telemetry_.hangup_cancels.load();
-    s.short_writes = telemetry_.short_writes.load();
-    s.io_threads = static_cast<int>(impl_->loops.size());
-    s.workers = impl_->worker_count;
-    return s;
+  engine_.set_front_stats_writer([this](util::JsonWriter& j) {
+    j.field("io_threads", static_cast<int>(impl_->loops.size()));
+    j.field("workers", impl_->worker_count);
+#define AFLOW_WRITE_FRONT_COUNTER(name) j.field(#name, telemetry_.name.load());
+    AFLOW_FRONT_COUNTERS(AFLOW_WRITE_FRONT_COUNTER)
+#undef AFLOW_WRITE_FRONT_COUNTER
   });
 
   for (size_t i = 0; i < impl_->loops.size(); ++i)
@@ -655,7 +646,7 @@ void ServeFront::run() {
   impl_->loops.clear();
   impl_->queue.reset();
 
-  engine_.set_front_stats_provider(nullptr);
+  engine_.set_front_stats_writer(nullptr);
 
   if (impl_->unix_fd >= 0) {
     ::close(impl_->unix_fd);

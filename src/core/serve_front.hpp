@@ -76,23 +76,27 @@ struct ServeFrontOptions {
   int drain_grace_ms = 1000;
 };
 
-/// Monotonic counters of the I/O plane, readable from any thread while the
-/// front runs (exposed through the engine's `stats` response as the
-/// "front" object — docs/BENCH_FORMAT.md).
+/// The I/O plane's monotonic counters, one row each, in the key order of
+/// the `stats` response's "front" object (docs/BENCH_FORMAT.md holds one
+/// table row per counter). FrontTelemetry's atomics and the front's stats
+/// writer are generated from this table.
+#define AFLOW_FRONT_COUNTERS(X)                                             \
+  X(accepted_unix)                                                          \
+  X(accepted_tcp)                                                           \
+  X(rejected)                                                               \
+  X(open_connections)                                                       \
+  X(requests_queued)                                                        \
+  X(responses_written)                                                      \
+  X(backpressure_pauses) /* read pauses: pipelining limit or write cap */   \
+  X(oversized_frames)                                                       \
+  X(hangup_cancels)      /* hangups that cancelled in-flight/queued work */ \
+  X(short_writes)        /* injected serve.write faults */
+
+/// Counters readable from any thread while the front runs.
 struct FrontTelemetry {
-  std::atomic<long long> accepted_unix{0};
-  std::atomic<long long> accepted_tcp{0};
-  std::atomic<long long> rejected{0};
-  std::atomic<long long> open_connections{0};
-  std::atomic<long long> requests_queued{0};
-  std::atomic<long long> responses_written{0};
-  /// Read-pause transitions: a connection hit its pipelining limit or its
-  /// write-buffer cap and stopped being read until it drained.
-  std::atomic<long long> backpressure_pauses{0};
-  std::atomic<long long> oversized_frames{0};
-  /// Hangups that cancelled in-flight or queued work via the session token.
-  std::atomic<long long> hangup_cancels{0};
-  std::atomic<long long> short_writes{0}; // injected serve.write faults
+#define AFLOW_FRONT_ATOMIC(name) std::atomic<long long> name{0};
+  AFLOW_FRONT_COUNTERS(AFLOW_FRONT_ATOMIC)
+#undef AFLOW_FRONT_ATOMIC
 };
 
 class ServeFront {

@@ -111,7 +111,10 @@ graph::FlowNetwork random_grid(int height, int width, double cap,
                                double neighbor, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> u(0.0, cap);
-  const int pixels = height * width;
+  // Checked before the terminal arrays are sized; grid_cut_graph checks the
+  // vertex and edge counts.
+  const int pixels =
+      graph::checked_size(std::int64_t{height} * width, "grid pixel count");
   std::vector<double> to_source(pixels), to_sink(pixels);
   for (int p = 0; p < pixels; ++p) {
     // Integral capacities, as everywhere else in the repo's generators.

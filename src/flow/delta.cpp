@@ -170,16 +170,16 @@ void CapacityDelta::apply(graph::FlowNetwork& net) {
   // All-or-nothing: validate every edit before mutating anything, so a bad
   // trailing edit cannot leave the network half-edited or clobber the
   // old_capacity fields recorded for the edits before it. The rules mirror
-  // FlowNetwork::set_capacity exactly (index in range, capacity strictly
-  // positive and therefore not NaN).
+  // FlowNetwork::set_capacity exactly (index in range, capacity positive
+  // and finite, so neither NaN nor inf).
   for (const CapacityEdit& e : edits) {
     if (e.edge < 0 || e.edge >= net.num_edges())
       throw std::invalid_argument("CapacityDelta: edge index " +
                                   std::to_string(e.edge) + " out of range");
-    if (!(e.capacity > 0.0))
+    if (!(e.capacity > 0.0 && std::isfinite(e.capacity)))
       throw std::invalid_argument("CapacityDelta: capacity for edge " +
                                   std::to_string(e.edge) +
-                                  " must be positive");
+                                  " must be positive and finite");
   }
   for (CapacityEdit& e : edits) {
     e.old_capacity = net.edge(e.edge).capacity;

@@ -25,7 +25,7 @@ class DinicSolver {
     while (cancel_.check(), bfs_levels()) {
       std::fill(it_.begin(), it_.end(), 0);
       for (;;) {
-        const double pushed = dfs(s_, std::numeric_limits<double>::infinity());
+        const double pushed = augment_path();
         if (pushed <= 0.0) break;
         added += pushed;
         ops++;
@@ -54,22 +54,40 @@ class DinicSolver {
     return level_[t_] >= 0;
   }
 
-  double dfs(int v, double limit) {
-    if (v == t_) return limit;
-    const std::span<const int> arcs = r_.arcs(v);
-    for (int& i = it_[v]; i < static_cast<int>(arcs.size()); ++i) {
-      const int arc = arcs[i];
-      const int u = r_.head[arc];
-      if (r_.cap[arc] <= 0.0 || level_[u] != level_[v] + 1) continue;
-      const double pushed = dfs(u, std::min(limit, r_.cap[arc]));
-      if (pushed > 0.0) {
-        r_.cap[arc] -= pushed;
-        r_.cap[r_.rev(arc)] += pushed;
-        return pushed;
+  /// Finds and saturates one s-t path of the level graph by a depth-first
+  /// descent along current arcs; returns its bottleneck, or 0 when s has no
+  /// path left this phase. The path is an explicit arc stack, so a deep
+  /// instance (a long path graph) costs heap, not call stack. A dead end
+  /// retires its vertex for the phase (level -1) and advances its parent's
+  /// current arc; a found path leaves every current arc in place.
+  double augment_path() {
+    path_.clear();
+    int v = s_;
+    while (v != t_) {
+      const std::span<const int> arcs = r_.arcs(v);
+      int& i = it_[v];
+      while (i < static_cast<int>(arcs.size()) &&
+             (r_.cap[arcs[i]] <= 0.0 ||
+              level_[r_.head[arcs[i]]] != level_[v] + 1))
+        ++i;
+      if (i < static_cast<int>(arcs.size())) {
+        path_.push_back(arcs[i]);
+        v = r_.head[arcs[i]];
+        continue;
       }
+      level_[v] = -1;
+      if (path_.empty()) return 0.0;
+      v = r_.head[r_.rev(path_.back())]; // retreat to the arc's tail
+      path_.pop_back();
+      ++it_[v];
     }
-    level_[v] = -1;
-    return 0.0;
+    double pushed = std::numeric_limits<double>::infinity();
+    for (int arc : path_) pushed = std::min(pushed, r_.cap[arc]);
+    for (int arc : path_) {
+      r_.cap[arc] -= pushed;
+      r_.cap[r_.rev(arc)] += pushed;
+    }
+    return pushed;
   }
 
   detail::Residual& r_;
@@ -77,6 +95,7 @@ class DinicSolver {
   util::CancelToken cancel_;
   std::vector<int> level_;
   std::vector<int> it_;
+  std::vector<int> path_; // arcs of the current descent, s first
 };
 
 } // namespace

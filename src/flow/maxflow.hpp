@@ -13,54 +13,54 @@
 
 namespace aflow::flow {
 
+/// The SolveMetrics counters, one row each, in the key order of the JSON
+/// metrics object (core::write_metrics_fields; docs/BENCH_FORMAT.md holds
+/// one table row per counter). The fields, their accumulation and the JSON
+/// writer are all generated from this table, so a new counter is one row
+/// here plus one doc row.
+///
+/// Push-relabel restarts (flow/push_relabel.cpp): a cold start floods every
+/// live source arc, one injected_excess_arcs tick per arc; a slack-bounded
+/// warm restart seeds its whole budget at the source, one tick per pass,
+/// so injected_excess_arcs is the direct measure of restart locality.
+/// The fallback_* rows are the graceful-degradation ladder (DESIGN.md
+/// "Failure taxonomy and the degradation ladder"): one tick per fallback
+/// rung taken on behalf of the solve, so no recovery is silent.
+#define AFLOW_SOLVE_COUNTERS(X)                                              \
+  X(iterations)              /* Newton/PWL iterations or transient solves */ \
+  X(full_factors)            /* factorisations incl. symbolic analysis */    \
+  X(refactors)               /* numeric-only fast-path factorisations */     \
+  X(prototype_refactors)     /* refactors via cross-instance prototypes */   \
+  X(rhs_refreshes)           /* transient RHS-only incremental updates */    \
+  X(warm_iterations)         /* iterations in warm-started solves */         \
+  X(cold_iterations)         /* iterations in cold solves */                 \
+  X(pool_hits)               /* core::ReusePool lookups that hit */          \
+  X(pool_misses)             /* ... and missed: one lookup per solve */      \
+  X(pool_evictions)          /* LRU entries evicted by this solve's store */ \
+  X(delta_solves)            /* solve_delta calls on the delta fast path */  \
+  X(delta_fallbacks)         /* ... and fell back to a full solve */         \
+  X(edges_touched)           /* distinct edited edges the deltas carried */  \
+  X(injected_excess_arcs)    /* push-relabel restart excess injections */    \
+  X(returned_excess_walks)   /* phase-2 walks hauling excess home */         \
+  X(phase2_fallbacks)        /* slow legacy discharge after a dead end */    \
+  X(warm_escalations)        /* warm restarts whose certificate failed */    \
+  X(fallback_analog_digital) /* analog failure -> digital backend */         \
+  X(fallback_region_retries) /* sharded region solve re-attempts */          \
+  X(fallback_region_direct)  /* region solved by local direct rung */        \
+  X(fallback_pool_rebuilds)  /* corrupt pool entry dropped and rebuilt */
+
 /// Optional backend telemetry for perf tracking (aflow bench --json, batch
-/// reports). Classical solvers leave it zeroed; the analog backends fill it
-/// from their DC/transient statistics.
+/// reports, serve responses). The analog backends fill it from their
+/// DC/transient statistics; the delta, push-relabel restart and sharded
+/// paths fill their own rows. The analog, sweep and min-cut result types
+/// derive from it, so their counters are these.
 struct SolveMetrics {
-  long long iterations = 0;       // Newton/PWL iterations or transient solves
-  long long full_factors = 0;     // factorisations incl. symbolic analysis
-  long long refactors = 0;        // numeric-only fast-path factorisations
-  long long prototype_refactors = 0; // refactors via cross-instance prototypes
-  long long rhs_refreshes = 0;    // transient RHS-only incremental updates
-  long long warm_iterations = 0;  // iterations in warm-started solves
-  long long cold_iterations = 0;  // iterations in cold solves
-  bool warm_started = false;      // result came from a warm-started solve
-  // core::ReusePool traffic attributable to this solve (warm backends only):
-  // one lookup per solve, so pool_hits + pool_misses == pool lookups.
-  long long pool_hits = 0;
-  long long pool_misses = 0;
-  long long pool_evictions = 0;   // LRU entries evicted by this solve's store
-  // Delta-path telemetry (ISolver::solve_delta): a solve entered through the
-  // incremental entry either rode the delta fast path (delta_solves) or fell
-  // back to a from-scratch/full-warm solve (delta_fallbacks) — exactly one of
-  // the two per solve_delta call. edges_touched counts the distinct edited
-  // edges the delta carried (whichever path ran).
-  long long delta_solves = 0;
-  long long delta_fallbacks = 0;
-  long long edges_touched = 0;
-  // Push-relabel restart telemetry (flow/push_relabel.cpp). A cold start
-  // floods every live source arc (one injected_excess_arcs tick per arc);
-  // a slack-bounded warm restart seeds its whole budget at the source —
-  // one tick per pass — so injected_excess_arcs is the direct measure of
-  // restart locality (near the step count on a warm stream, near the
-  // source degree times the step count on a cold one).
-  // returned_excess_walks counts phase-2 walks hauling unroutable excess
-  // home; phase2_fallbacks counts engagements of the slow legacy discharge
-  // fallback after a genuine (fresh-cursor) phase-2 dead end;
-  // warm_escalations counts warm restarts whose max-flow certificate
-  // failed, forcing a full flood continuation (correctness backstop).
-  long long injected_excess_arcs = 0;
-  long long returned_excess_walks = 0;
-  long long phase2_fallbacks = 0;
-  long long warm_escalations = 0;
-  // Graceful-degradation ladder telemetry (DESIGN.md "Failure taxonomy and
-  // the degradation ladder"): each counter records one fallback rung taken
-  // on behalf of this solve, so every recovery is visible to clients
-  // instead of silent.
-  long long fallback_analog_digital = 0; // analog failure -> digital backend
-  long long fallback_region_retries = 0; // sharded region solve re-attempts
-  long long fallback_region_direct = 0;  // region solved by local direct rung
-  long long fallback_pool_rebuilds = 0;  // corrupt pool entry dropped+rebuilt
+#define AFLOW_DECLARE_COUNTER(name) long long name = 0;
+  AFLOW_SOLVE_COUNTERS(AFLOW_DECLARE_COUNTER)
+#undef AFLOW_DECLARE_COUNTER
+  /// The result came from a warm-started solve. Not a counter: it ORs
+  /// under accumulation, and the JSON metrics object does not carry it.
+  bool warm_started = false;
 
   /// Accumulates another solve's counters (warm_started ORs). Every field
   /// is attributable to the request that produced it, so the same type
@@ -70,28 +70,10 @@ struct SolveMetrics {
   /// the per-session pool_* counters over all sessions of a bank yields
   /// the shared pool's own cumulative hit/miss/eviction statistics.
   SolveMetrics& operator+=(const SolveMetrics& m) {
-    iterations += m.iterations;
-    full_factors += m.full_factors;
-    refactors += m.refactors;
-    prototype_refactors += m.prototype_refactors;
-    rhs_refreshes += m.rhs_refreshes;
-    warm_iterations += m.warm_iterations;
-    cold_iterations += m.cold_iterations;
+#define AFLOW_ADD_COUNTER(name) name += m.name;
+    AFLOW_SOLVE_COUNTERS(AFLOW_ADD_COUNTER)
+#undef AFLOW_ADD_COUNTER
     warm_started = warm_started || m.warm_started;
-    pool_hits += m.pool_hits;
-    pool_misses += m.pool_misses;
-    pool_evictions += m.pool_evictions;
-    delta_solves += m.delta_solves;
-    delta_fallbacks += m.delta_fallbacks;
-    edges_touched += m.edges_touched;
-    injected_excess_arcs += m.injected_excess_arcs;
-    returned_excess_walks += m.returned_excess_walks;
-    phase2_fallbacks += m.phase2_fallbacks;
-    warm_escalations += m.warm_escalations;
-    fallback_analog_digital += m.fallback_analog_digital;
-    fallback_region_retries += m.fallback_region_retries;
-    fallback_region_direct += m.fallback_region_direct;
-    fallback_pool_rebuilds += m.fallback_pool_rebuilds;
     return *this;
   }
 };
@@ -132,8 +114,9 @@ MinCutResult min_cut_from_flow(const graph::FlowNetwork& net,
 
 /// Verifies that `result` is a feasible flow on `net`: capacity bounds and
 /// conservation hold to within `tol`, and flow_value matches the net
-/// source outflow. Returns an empty string when valid, otherwise a
-/// human-readable description of the first violation.
+/// source outflow; a NaN or infinite flow value or edge flow fails. Returns
+/// an empty string when valid, otherwise a human-readable description of
+/// the first violation.
 std::string check_flow(const graph::FlowNetwork& net, const MaxFlowResult& result,
                        double tol = 1e-9);
 

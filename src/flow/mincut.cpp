@@ -63,12 +63,14 @@ std::string check_flow(const graph::FlowNetwork& net, const MaxFlowResult& resul
     return "edge_flow size mismatch";
 
   // One accumulator pass over the edge list: capacity bounds per edge and
-  // the net outflow of every vertex.
+  // the net outflow of every vertex. Every comparison is written to fail on
+  // NaN, and an infinite flow fails the bounds or the value check, so a
+  // non-finite result is never reported feasible.
   std::vector<double> net_out(net.num_vertices(), 0.0);
   for (int e = 0; e < net.num_edges(); ++e) {
     const double f = result.edge_flow[e];
     const auto& edge = net.edge(e);
-    if (f < -tol || f > edge.capacity + tol) {
+    if (!(f >= -tol && f <= edge.capacity + tol)) {
       err << "edge " << e << ": flow " << f << " outside [0, "
           << edge.capacity << "]";
       return err.str();
@@ -78,13 +80,13 @@ std::string check_flow(const graph::FlowNetwork& net, const MaxFlowResult& resul
   }
   for (int v = 0; v < net.num_vertices(); ++v) {
     if (v == net.source() || v == net.sink()) continue;
-    if (std::abs(net_out[v]) > tol) {
+    if (!(std::abs(net_out[v]) <= tol)) {
       err << "vertex " << v << ": conservation violated by " << -net_out[v];
       return err.str();
     }
   }
   const double source_out = net_out[net.source()];
-  if (std::abs(source_out - result.flow_value) > tol) {
+  if (!(std::abs(source_out - result.flow_value) <= tol)) {
     err << "flow_value " << result.flow_value << " != net source outflow "
         << source_out;
     return err.str();

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -115,6 +116,7 @@ FlowNetwork read_dimacs(std::istream& in) {
         if (n < 0) fail("arc line before problem line");
         if (u < 1 || u > n || v < 1 || v > n)
           fail("arc endpoint out of range");
+        if (!std::isfinite(c)) fail("non-finite arc capacity");
         ++arcs_seen;
         // Self loops carry no s-t flow and zero-capacity arcs are no-ops.
         if (u == v || c <= 0.0) break;

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iomanip>
+#include <limits>
 #include <ostream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace aflow::graph {
 
@@ -42,6 +46,17 @@ int uniform_capacity(int max_capacity, std::mt19937_64& rng) {
 
 } // namespace
 
+int checked_size(double size, const char* what) {
+  if (!(size >= 0.0 &&
+        size <= static_cast<double>(std::numeric_limits<int>::max()))) {
+    std::ostringstream msg;
+    msg << what << " " << std::fixed << std::setprecision(0) << size
+        << " does not fit the int vertex/edge index";
+    throw std::invalid_argument(msg.str());
+  }
+  return static_cast<int>(size);
+}
+
 FlowNetwork rmat(int num_vertices, int num_edges, const RmatParams& params,
                  std::uint64_t seed) {
   if (num_vertices < 2) throw std::invalid_argument("rmat: need >= 2 vertices");
@@ -50,7 +65,7 @@ FlowNetwork rmat(int num_vertices, int num_edges, const RmatParams& params,
   std::mt19937_64 rng(seed);
 
   int levels = 0;
-  while ((1 << levels) < num_vertices) ++levels;
+  while ((std::int64_t{1} << levels) < num_vertices) ++levels;
 
   // Sample distinct non-loop edges within [0, num_vertices)^2.
   std::set<std::pair<int, int>> cells;
@@ -98,13 +113,16 @@ FlowNetwork rmat(int num_vertices, int num_edges, const RmatParams& params,
 }
 
 FlowNetwork rmat_dense(int num_vertices, std::uint64_t seed, double coeff) {
-  const int m = std::max(1, static_cast<int>(std::lround(
-      coeff * static_cast<double>(num_vertices) * num_vertices)));
+  const int m = checked_size(
+      std::max(1.0, std::round(coeff * static_cast<double>(num_vertices) *
+                               num_vertices)),
+      "rmat_dense edge count");
   return rmat(num_vertices, m, RmatParams{}, seed);
 }
 
 FlowNetwork rmat_sparse(int num_vertices, std::uint64_t seed, double degree) {
-  const int m = std::max(1, static_cast<int>(std::lround(degree * num_vertices)));
+  const int m = checked_size(std::max(1.0, std::round(degree * num_vertices)),
+                             "rmat_sparse edge count");
   return rmat(num_vertices, m, RmatParams{}, seed);
 }
 
@@ -112,9 +130,12 @@ FlowNetwork grid_cut_graph(int height, int width,
                            const std::vector<double>& terminal_source,
                            const std::vector<double>& terminal_sink,
                            double neighbor_capacity) {
-  const int pixels = height * width;
-  if (static_cast<int>(terminal_source.size()) != pixels ||
-      static_cast<int>(terminal_sink.size()) != pixels)
+  const std::int64_t area = std::int64_t{height} * width;
+  const int pixels = checked_size(area + 2, "grid vertex count") - 2;
+  // At most two terminal arcs and two lattice arc pairs per pixel.
+  checked_size(6 * area, "grid edge count");
+  if (terminal_source.size() != static_cast<size_t>(pixels) ||
+      terminal_sink.size() != static_cast<size_t>(pixels))
     throw std::invalid_argument("grid_cut_graph: terminal array size mismatch");
   const int source = pixels;
   const int sink = pixels + 1;
@@ -143,8 +164,14 @@ FlowNetwork grid_cut_graph(int height, int width,
 FlowNetwork layered_random(int layers, int width, int fanout, int max_capacity,
                            std::uint64_t seed) {
   if (layers < 1 || width < 1) throw std::invalid_argument("layered_random: bad shape");
+  const int n =
+      checked_size(2 + std::int64_t{layers} * width, "layered vertex count");
+  // Source and sink arcs, plus at most min(fanout, width) arcs out of every
+  // vertex of the first layers - 1 layers.
+  checked_size(2 * std::int64_t{width} + std::int64_t{layers - 1} * width *
+                                             std::clamp(fanout, 1, width),
+               "layered edge count");
   std::mt19937_64 rng(seed);
-  const int n = 2 + layers * width;
   const int source = 0;
   const int sink = n - 1;
   auto vid = [&](int layer, int slot) { return 1 + layer * width + slot; };
@@ -210,10 +237,11 @@ std::int64_t gridflow_num_edges(int height, int width) {
 
 FlowNetwork gridflow(int height, int width, int max_capacity,
                      std::uint64_t seed) {
-  const std::int64_t pixels =
-      static_cast<std::int64_t>(height) * static_cast<std::int64_t>(width);
-  FlowNetwork net(static_cast<int>(pixels + 2), static_cast<int>(pixels),
-                  static_cast<int>(pixels + 1));
+  const int n = checked_size(std::int64_t{height} * width + 2,
+                             "gridflow vertex count");
+  checked_size(static_cast<double>(gridflow_num_edges(height, width)),
+               "gridflow edge count");
+  FlowNetwork net(n, n - 2, n - 1);
   gridflow_walk(height, width, max_capacity, seed,
                 [&net](std::int64_t u, std::int64_t v, int c) {
                   net.add_edge(static_cast<int>(u), static_cast<int>(v),
@@ -240,6 +268,13 @@ void write_gridflow_dimacs(std::ostream& out, int height, int width,
 
 FlowNetwork uniform_random(int num_vertices, int num_edges, int max_capacity,
                            std::uint64_t seed) {
+  // The sampler draws distinct non-loop pairs: asking for more than exist
+  // would spin through its whole attempt budget.
+  const std::int64_t pairs = std::int64_t{num_vertices} * (num_vertices - 1);
+  if (num_edges > pairs)
+    throw std::invalid_argument(
+        "uniform: " + std::to_string(num_edges) + " edges exceed the " +
+        std::to_string(pairs) + " distinct non-loop vertex pairs");
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int> pick(0, num_vertices - 1);
   std::set<std::pair<int, int>> cells;

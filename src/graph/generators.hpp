@@ -15,6 +15,12 @@
 
 namespace aflow::graph {
 
+/// Narrows a generator size (a vertex or edge count, computed in 64-bit
+/// from the shape parameters so it cannot wrap first) to the int index.
+/// Throws std::invalid_argument naming `what` when the size is negative or
+/// the int vertex/edge indices cannot hold it.
+int checked_size(double size, const char* what);
+
 /// R-MAT quadrant probabilities; defaults are the customary skewed setting.
 struct RmatParams {
   double a = 0.57;

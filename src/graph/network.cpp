@@ -1,6 +1,7 @@
 #include "graph/network.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -31,11 +32,14 @@ FlowNetwork::FlowNetwork(int num_vertices, int source, int sink,
 void FlowNetwork::check_edge(const Edge& e) const {
   if (e.from < 0 || e.from >= num_vertices_ || e.to < 0 ||
       e.to >= num_vertices_)
-    throw std::invalid_argument("FlowNetwork::add_edge: vertex out of range");
+    throw std::invalid_argument("FlowNetwork: edge vertex out of range");
   if (e.from == e.to)
-    throw std::invalid_argument("FlowNetwork::add_edge: self loops not supported");
-  if (!(e.capacity > 0.0))
-    throw std::invalid_argument("FlowNetwork::add_edge: capacity must be positive");
+    throw std::invalid_argument("FlowNetwork: self loops not supported");
+  // An infinite capacity would make flow sums inf - inf = NaN; NaN fails
+  // the comparison.
+  if (!(e.capacity > 0.0 && std::isfinite(e.capacity)))
+    throw std::invalid_argument(
+        "FlowNetwork: edge capacity must be positive and finite");
 }
 
 int FlowNetwork::add_edge(int from, int to, double capacity) {
@@ -55,9 +59,7 @@ int FlowNetwork::add_edge(int from, int to, double capacity) {
 void FlowNetwork::set_capacity(int e, double capacity) {
   if (e < 0 || e >= num_edges())
     throw std::invalid_argument("FlowNetwork::set_capacity: edge out of range");
-  if (!(capacity > 0.0))
-    throw std::invalid_argument(
-        "FlowNetwork::set_capacity: capacity must be positive");
+  check_edge({edges_[e].from, edges_[e].to, capacity});
   edges_[e].capacity = capacity;
 }
 
@@ -70,11 +72,7 @@ double FlowNetwork::max_capacity() const {
 void FlowNetwork::validate() const {
   if (num_vertices_ < 2) throw std::invalid_argument("FlowNetwork: too few vertices");
   if (source_ == sink_) throw std::invalid_argument("FlowNetwork: source == sink");
-  for (const Edge& e : edges_) {
-    if (e.from == e.to) throw std::invalid_argument("FlowNetwork: self loop");
-    if (!(e.capacity > 0.0))
-      throw std::invalid_argument("FlowNetwork: non-positive capacity");
-  }
+  for (const Edge& e : edges_) check_edge(e);
 }
 
 Incidence incidence(const FlowNetwork& net) {

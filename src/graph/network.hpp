@@ -32,13 +32,15 @@ class FlowNetwork {
   /// per-edge reallocation). Every edge is checked as add_edge checks it.
   FlowNetwork(int num_vertices, int source, int sink, std::vector<Edge> edges);
 
-  /// Adds a directed edge and returns its index.
+  /// Adds a directed edge and returns its index. Throws
+  /// std::invalid_argument on an endpoint out of range, a self loop, or a
+  /// capacity that is not positive and finite.
   int add_edge(int from, int to, double capacity);
 
   /// Reprograms one edge's capacity in place — the serving reconfiguration
   /// primitive (topology, and therefore the substrate's MNA pattern under
   /// dedicated level sources, is unchanged). Throws std::invalid_argument
-  /// on a bad index or non-positive capacity.
+  /// on a bad index or a capacity that is not positive and finite.
   void set_capacity(int e, double capacity);
 
   int num_vertices() const { return num_vertices_; }
@@ -52,7 +54,7 @@ class FlowNetwork {
   double max_capacity() const;
 
   /// Throws std::invalid_argument when the instance is malformed
-  /// (bad source/sink, non-positive capacity, self loop).
+  /// (bad source/sink, or an edge that add_edge would refuse).
   void validate() const;
 
   /// Returns a copy with `capacity -> f(capacity)` applied to every edge.
@@ -64,6 +66,8 @@ class FlowNetwork {
   }
 
  private:
+  /// The one edge check behind add_edge, the edge-list constructor,
+  /// set_capacity and validate.
   void check_edge(const Edge& e) const;
 
   int num_vertices_ = 0;

@@ -125,7 +125,7 @@ AnalogMinCutResult solve_mincut_dual(const graph::FlowNetwork& net,
 
   AnalogMinCutResult out;
   auto accumulate = [&](const sim::DcStats& s) {
-    out.dc_iterations += s.iterations;
+    out.iterations += s.iterations;
     out.warm_iterations += s.warm_iterations;
     out.cold_iterations += s.cold_iterations;
     out.full_factors += s.full_factors;

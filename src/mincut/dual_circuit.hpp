@@ -32,6 +32,7 @@
 
 #include "analog/substrate_config.hpp"
 #include "core/reuse_pool.hpp"
+#include "flow/maxflow.hpp"
 #include "graph/network.hpp"
 #include "util/cancel.hpp"
 
@@ -69,25 +70,17 @@ struct DualCircuitOptions {
   util::CancelToken cancel;
 };
 
-struct AnalogMinCutResult {
+/// The counters come from the flow::SolveMetrics base: DC iterations
+/// (warm + cold == iterations), factorisations including a warm start's
+/// canonical priming one, and ReusePool traffic (zero without a pool; one
+/// lookup per solve).
+struct AnalogMinCutResult : flow::SolveMetrics {
   double cut_value = 0.0;          // capacity units
   std::vector<char> side;          // side[v] = 1 if source side (p_v > 0.5)
   std::vector<double> d_values;    // V(d_ij) per edge (cut indicators)
   std::vector<double> p_values;    // V(p_i) per vertex
   std::vector<double> edge_flow;   // recovered dual variables (flow), cap units
   double flow_value = 0.0;         // recovered total flow (weak-duality check)
-  int dc_iterations = 0;
-  /// Warm-start telemetry: warm + cold == dc_iterations always;
-  /// full_factors includes the canonical priming factorisation.
-  bool warm_started = false;
-  int warm_iterations = 0;
-  int cold_iterations = 0;
-  long long full_factors = 0;
-  long long refactors = 0;
-  /// ReusePool traffic (zero without a pool): one lookup per solve.
-  long long pool_hits = 0;
-  long long pool_misses = 0;
-  long long pool_evictions = 0;
 };
 
 /// Builds and solves the dual circuit at DC. Throws sim::ConvergenceError if

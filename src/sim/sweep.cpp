@@ -18,7 +18,7 @@ SweepResult QuasiStaticSweep::run(const std::vector<double>& values,
   DcSolver solver(*net_, options_);
 
   auto accumulate = [&](const DcStats& s) {
-    result.stats.dc_iterations += s.iterations;
+    result.stats.iterations += s.iterations;
     result.stats.warm_iterations += s.warm_iterations;
     result.stats.cold_iterations += s.cold_iterations;
     result.stats.full_factors += s.full_factors;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/reuse_pool.hpp"
+#include "flow/maxflow.hpp"
 #include "sim/dc.hpp"
 #include "sim/transient.hpp"
 
@@ -30,29 +31,17 @@ struct SweepBreakpoint {
   int flips = 0;             // how many diodes changed state
 };
 
-/// Work/telemetry counters accumulated over all sweep points.
-struct SweepStats {
-  int dc_iterations = 0;
-  /// Split of dc_iterations by entry point; warm ones come from the pooled
-  /// first-point seed. warm + cold == dc_iterations always.
-  int warm_iterations = 0;
-  int cold_iterations = 0;
-  /// Includes the canonical priming factorisation of a warm start.
-  long long full_factors = 0;
-  long long refactors = 0;
-  bool warm_started = false; // first point was seeded from the pool
-  /// ReusePool traffic (zero without a pool): one lookup per run.
-  long long pool_hits = 0;
-  long long pool_misses = 0;
-  long long pool_evictions = 0;
-};
-
 struct SweepResult {
   std::vector<double> source_values;
   /// trajectory[k][p] = probe p at sweep point k.
   std::vector<std::vector<double>> trajectory;
   std::vector<SweepBreakpoint> breakpoints;
-  SweepStats stats;
+  /// Counters accumulated over all sweep points: DC iterations (warm ones
+  /// come from the pooled first-point seed; warm + cold == iterations),
+  /// factorisations including a warm start's canonical priming one, and
+  /// ReusePool traffic (zero without a pool; one lookup per run).
+  /// warm_started is set when the first point was seeded from the pool.
+  flow::SolveMetrics stats;
 };
 
 class QuasiStaticSweep {

@@ -143,6 +143,21 @@ TEST(CapacityDelta, ApplyIsAllOrNothingOnInvalidEdits) {
   EXPECT_DOUBLE_EQ(g.edge(1).capacity, 2.0);
 }
 
+TEST(CapacityDelta, ApplyRejectsNonFiniteCapacities) {
+  graph::FlowNetwork g(3, 0, 2);
+  g.add_edge(0, 1, 4.0);
+  g.add_edge(1, 2, 6.0);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    flow::CapacityDelta d;
+    d.edits.push_back({0, 9.0, -1.0});
+    d.edits.push_back({1, bad, -1.0});
+    EXPECT_THROW(d.apply(g), std::invalid_argument) << bad;
+    EXPECT_DOUBLE_EQ(g.edge(0).capacity, 4.0);
+    EXPECT_DOUBLE_EQ(g.edge(1).capacity, 6.0);
+  }
+}
+
 TEST(CapacityDelta, ComposedFoldsDuplicateEditsFirstOldLastNew) {
   // Duplicate edits to one edge must compose per edge — first old
   // capacity, last new capacity — before any relative-change measurement.

@@ -2,9 +2,14 @@
 // and max-flow = min-cut duality.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/sharded_solver.hpp"
+#include "flow/delta.hpp"
 #include "flow/maxflow.hpp"
 #include "graph/generators.hpp"
 
+namespace core = aflow::core;
 namespace flow = aflow::flow;
 namespace graph = aflow::graph;
 
@@ -202,4 +207,64 @@ TEST(CheckFlow, ValidatesConservationAndCapacity) {
 
   EXPECT_NE(flow::check_flow(net, flow_of(good, 2.0)), ""); // wrong value
   EXPECT_NE(flow::check_flow(net, flow_of({1.0}, 1.0)), ""); // shape
+}
+
+TEST(CheckFlow, RejectsNonFiniteFlows) {
+  const auto g = graph::paper_example_fig5();
+  const auto r = flow::dinic(g);
+  ASSERT_EQ(flow::check_flow(g, r), "");
+  for (const double bad_value : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()}) {
+    auto bad = r;
+    bad.flow_value = bad_value;
+    EXPECT_NE(flow::check_flow(g, bad), "") << bad_value;
+
+    // Non-finite everywhere: no bound or conservation comparison may
+    // pass it as feasible.
+    bad = r;
+    for (double& f : bad.edge_flow) f = bad_value;
+    bad.flow_value = bad_value;
+    EXPECT_NE(flow::check_flow(g, bad), "") << bad_value;
+
+    bad = r;
+    bad.edge_flow[2] = bad_value;
+    EXPECT_NE(flow::check_flow(g, bad), "") << bad_value;
+  }
+}
+
+TEST(Dinic, DeepPathSolvesWithoutExhaustingTheStack) {
+  // One s-t path of 400k arcs. Every augmenting path descends through all
+  // of them, so a DFS that recurses once per path vertex overflows the
+  // default stack here. The cold solve, the delta re-augment and both
+  // sharded routes (direct at one shard, regions + refinement at two) all
+  // run the Dinic augmenter.
+  constexpr int kVertices = 400000;
+  constexpr int kMiddle = kVertices / 2;
+  graph::FlowNetwork net(kVertices, 0, kVertices - 1);
+  for (int v = 0; v + 1 < kVertices; ++v)
+    net.add_edge(v, v + 1, v == kMiddle ? 3.0 : 5.0);
+
+  const flow::MaxFlowResult cold = flow::dinic(net);
+  EXPECT_EQ(cold.flow_value, 3.0);
+  EXPECT_EQ(cold.operations, 1);
+  EXPECT_EQ(flow::check_flow(net, cold), "");
+
+  // Raising the bottleneck re-augments along the whole path.
+  flow::CapacityDelta delta;
+  delta.edits = {{kMiddle, 5.0}};
+  graph::FlowNetwork raised = net;
+  delta.apply(raised);
+  const flow::MaxFlowResult warm = flow::dinic_delta(raised, delta, cold);
+  EXPECT_EQ(warm.flow_value, 5.0);
+  EXPECT_EQ(warm.metrics.delta_solves, 1);
+  EXPECT_EQ(flow::check_flow(raised, warm), "");
+
+  for (const int shards : {1, 2}) {
+    core::ShardOptions opt;
+    opt.shards = shards;
+    opt.deterministic = true;
+    const flow::MaxFlowResult r = core::ShardedSolver(opt).solve(net);
+    EXPECT_EQ(r.flow_value, 3.0) << shards << " shards";
+    EXPECT_EQ(flow::check_flow(net, r), "") << shards << " shards";
+  }
 }

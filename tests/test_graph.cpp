@@ -1,7 +1,10 @@
 // Flow networks, generators, DIMACS I/O.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
@@ -75,6 +78,29 @@ TEST(FlowNetwork, EdgeListConstructorChecksEveryEdge) {
                std::invalid_argument); // non-positive capacity
   EXPECT_THROW(graph::FlowNetwork(3, 0, 2, {{0, 7, 1.0}}),
                std::invalid_argument); // endpoint out of range
+}
+
+TEST(FlowNetwork, RejectsNonFiniteCapacities) {
+  // inf passes a bare `capacity > 0` test; flow sums over it become
+  // inf - inf = NaN. Every mutator goes through the one edge check.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan}) {
+    graph::FlowNetwork net(3, 0, 2);
+    EXPECT_THROW(net.add_edge(0, 1, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(graph::FlowNetwork(3, 0, 2, {{0, 1, 1.0}, {1, 2, bad}}),
+                 std::invalid_argument) << bad;
+    net.add_edge(0, 1, 1.0);
+    EXPECT_THROW(net.set_capacity(0, bad), std::invalid_argument) << bad;
+    EXPECT_DOUBLE_EQ(net.edge(0).capacity, 1.0);
+  }
+  // A finite capacity that a transform overflows is refused too.
+  graph::FlowNetwork big(3, 0, 2);
+  big.add_edge(0, 1, 1e308);
+  big.add_edge(1, 2, 1e308);
+  big.validate();
+  EXPECT_THROW(big.transform_capacities([](double c) { return c * 10.0; }),
+               std::invalid_argument);
 }
 
 TEST(FlowNetwork, PaperExamples) {
@@ -298,6 +324,21 @@ TEST(Dimacs, ReaderRejectsMalformedFields) {
   }
 }
 
+TEST(Dimacs, ReaderRejectsNonFiniteCapacities) {
+  for (const char* cap : {"inf", "-inf", "nan", "infinity"}) {
+    std::stringstream ss(std::string("p max 3 2\nn 1 s\nn 3 t\na 1 2 4\n"
+                                     "a 2 3 ") + cap + "\n");
+    try {
+      graph::read_dimacs(ss);
+      ADD_FAILURE() << "capacity " << cap << " accepted";
+    } catch (const std::exception& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("non-finite arc capacity at line 5"),
+                std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Dimacs, ReaderDiagnosesTruncatedInput) {
   { // truncated at a line boundary: the error must reconcile the declared
     // arc count against what was actually read, and name the last line, so
@@ -398,4 +439,53 @@ TEST(Generators, GridflowDimacsRenditionIsEdgeForEdgeIdentical) {
     EXPECT_EQ(parsed.edge(e).to, net.edge(e).to) << e;
     EXPECT_EQ(parsed.edge(e).capacity, net.edge(e).capacity) << e;
   }
+}
+
+namespace {
+
+/// Expects `make` to refuse its shape with std::invalid_argument naming
+/// `what` (a wrapped int size surfaces as some other, misleading error).
+template <typename Make>
+void expect_size_refused(Make make, const std::string& what) {
+  try {
+    make();
+    ADD_FAILURE() << what << ": shape accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+} // namespace
+
+// 65536 * 65536 wraps to 0 in int arithmetic.
+TEST(Generators, GridCutGraphRefusesSizesBeyondTheIntIndex) {
+  expect_size_refused(
+      [] { return graph::grid_cut_graph(65536, 65536, {}, {}, 1.0); },
+      "grid vertex count");
+}
+
+TEST(Generators, LayeredRandomRefusesSizesBeyondTheIntIndex) {
+  expect_size_refused(
+      [] { return graph::layered_random(65536, 65536, 1, 5, 1); },
+      "layered vertex count");
+}
+
+TEST(Generators, GridflowRefusesSizesBeyondTheIntIndex) {
+  expect_size_refused([] { return graph::gridflow(65536, 65536, 5, 1); },
+                      "gridflow vertex count");
+}
+
+TEST(Generators, RmatRefusesEdgeCountsBeyondTheIntIndex) {
+  expect_size_refused([] { return graph::rmat_sparse(4, 1, 1e10); },
+                      "rmat_sparse edge count");
+  expect_size_refused([] { return graph::rmat_dense(4, 1, 1e10); },
+                      "rmat_dense edge count");
+}
+
+TEST(Generators, UniformRandomRefusesMoreEdgesThanVertexPairs) {
+  // Two vertices have exactly two distinct non-loop pairs.
+  EXPECT_EQ(graph::uniform_random(2, 2, 5, 1).num_edges(), 2);
+  expect_size_refused([] { return graph::uniform_random(2, 3, 5, 1); },
+                      "distinct non-loop vertex pairs");
 }

@@ -134,7 +134,7 @@ TEST(WarmSweep, BitIdenticalToColdSweepAndSavesIterations) {
   EXPECT_TRUE(warm.stats.warm_started);
   EXPECT_EQ(warm.stats.pool_hits, 1);
   EXPECT_EQ(warm.stats.warm_iterations + warm.stats.cold_iterations,
-            warm.stats.dc_iterations);
+            warm.stats.iterations);
   EXPECT_EQ(cold.stats.pool_hits + cold.stats.pool_misses, 0);
 
   ASSERT_EQ(warm.trajectory.size(), cold.trajectory.size());
@@ -152,7 +152,7 @@ TEST(WarmSweep, BitIdenticalToColdSweepAndSavesIterations) {
     EXPECT_EQ(warm.breakpoints[b].flips, cold.breakpoints[b].flips);
   }
   // The pooled seed collapses the first point's LCP search.
-  EXPECT_LT(warm.stats.dc_iterations, cold.stats.dc_iterations);
+  EXPECT_LT(warm.stats.iterations, cold.stats.iterations);
 }
 
 TEST(WarmMinCut, BitIdenticalToColdAndSavesIterations) {
@@ -175,7 +175,7 @@ TEST(WarmMinCut, BitIdenticalToColdAndSavesIterations) {
 
   EXPECT_TRUE(warm.warm_started);
   EXPECT_EQ(warm.pool_hits, 1);
-  EXPECT_EQ(warm.warm_iterations + warm.cold_iterations, warm.dc_iterations);
+  EXPECT_EQ(warm.warm_iterations + warm.cold_iterations, warm.iterations);
 
   EXPECT_EQ(warm.cut_value, cold.cut_value);
   EXPECT_EQ(warm.flow_value, cold.flow_value);
@@ -190,5 +190,5 @@ TEST(WarmMinCut, BitIdenticalToColdAndSavesIterations) {
     EXPECT_EQ(warm.edge_flow[e], cold.edge_flow[e]) << "flow " << e;
   }
   // The pooled seed collapses the complementarity search.
-  EXPECT_LT(warm.dc_iterations, cold.dc_iterations);
+  EXPECT_LT(warm.iterations, cold.iterations);
 }

@@ -36,6 +36,53 @@ bool looks_like_json_object(const std::string& s) {
          s.find('\n') == std::string::npos;
 }
 
+std::string json_string(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":\"";
+  const size_t at = json.find(needle);
+  EXPECT_NE(at, std::string::npos) << "missing key " << key << " in " << json;
+  if (at == std::string::npos) return {};
+  const size_t begin = at + needle.size();
+  return json.substr(begin, json.find('"', begin) - begin);
+}
+
+/// The keys, in order, of the first object named `key` in `json` at or
+/// after `from`, nested objects skipped.
+std::vector<std::string> object_keys(const std::string& json,
+                                     const std::string& key, size_t from = 0) {
+  const std::string needle = "\"" + key + "\":{";
+  const size_t at = json.find(needle, from);
+  EXPECT_NE(at, std::string::npos) << "missing object " << key << " in "
+                                   << json;
+  std::vector<std::string> keys;
+  if (at == std::string::npos) return keys;
+  int depth = 0;
+  for (size_t i = at + needle.size() - 1; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {
+      size_t end = i + 1;
+      while (json[end] != '"') end += json[end] == '\\' ? 2 : 1;
+      if (depth == 1 && json[end + 1] == ':')
+        keys.push_back(json.substr(i + 1, end - i - 1));
+      i = end;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if ((c == '}' || c == ']') && --depth == 0) {
+      break;
+    }
+  }
+  return keys;
+}
+
+/// The metrics object's keys, in wire order (docs/BENCH_FORMAT.md).
+const std::vector<std::string> kMetricsKeys = {
+    "iterations", "full_factors", "refactors", "prototype_refactors",
+    "rhs_refreshes", "warm_iterations", "cold_iterations", "pool_hits",
+    "pool_misses", "pool_evictions", "delta_solves", "delta_fallbacks",
+    "edges_touched", "injected_excess_arcs", "returned_excess_walks",
+    "phase2_fallbacks", "warm_escalations", "fallback_analog_digital",
+    "fallback_region_retries", "fallback_region_direct",
+    "fallback_pool_rebuilds"};
+
 } // namespace
 
 TEST(ServeEngine, ProtocolBasics) {
@@ -241,4 +288,130 @@ TEST(ServeEngine, BatchRequestsShareThePersistentPoolAcrossRequests) {
   ASSERT_TRUE(json_bool(second, "ok")) << second;
   EXPECT_EQ(json_ll(second, "warm_started_instances"), 4) << second;
   EXPECT_EQ(json_ll(second, "pool_misses"), 0) << second;
+}
+
+TEST(ServeEngine, MetricsObjectsKeepTheirKeyOrder) {
+  // The wire format of every metrics object: the same 21 counters in the
+  // same order in solve telemetry, the stats bank/sweep/min-cut scopes and
+  // the session view, plus the sweep and min-cut responses' hand-picked
+  // telemetry subsets.
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  ASSERT_TRUE(json_bool(engine.handle("load --spec grid:side=4,seed=1"), "ok"));
+
+  const std::string solve = engine.handle("solve --solver analog_dc_warm");
+  ASSERT_TRUE(json_bool(solve, "ok")) << solve;
+  EXPECT_EQ(object_keys(solve, "metrics"), kMetricsKeys) << solve;
+
+  const std::string sweep = engine.handle("sweep --points 3");
+  ASSERT_TRUE(json_bool(sweep, "ok")) << sweep;
+  EXPECT_EQ(object_keys(sweep, "telemetry"),
+            (std::vector<std::string>{
+                "warm_started", "dc_iterations", "warm_iterations",
+                "cold_iterations", "full_factors", "refactors", "pool_hits",
+                "pool_misses", "pool_evictions", "pool"}))
+      << sweep;
+
+  const std::string mincut = engine.handle("mincut");
+  ASSERT_TRUE(json_bool(mincut, "ok")) << mincut;
+  EXPECT_EQ(object_keys(mincut, "telemetry"),
+            (std::vector<std::string>{"warm_started", "dc_iterations",
+                                      "warm_iterations", "cold_iterations",
+                                      "pool_hits", "pool_misses",
+                                      "pool_evictions", "pool"}))
+      << mincut;
+
+  const std::string stats = engine.handle("stats");
+  ASSERT_TRUE(json_bool(stats, "ok")) << stats;
+  EXPECT_EQ(object_keys(stats, "metrics", stats.find("\"solvers\":[")),
+            kMetricsKeys)
+      << stats;
+  EXPECT_EQ(object_keys(stats, "sweep_metrics"), kMetricsKeys) << stats;
+  EXPECT_EQ(object_keys(stats, "mincut_metrics"), kMetricsKeys) << stats;
+
+  const std::string view = engine.handle("session");
+  ASSERT_TRUE(json_bool(view, "ok")) << view;
+  for (const char* scope : {"solve_metrics", "sweep_metrics", "mincut_metrics"})
+    EXPECT_EQ(object_keys(view, scope), kMetricsKeys) << scope << ": " << view;
+}
+
+TEST(ServeEngine, DeepInstanceSolvesThroughDinic) {
+  // A 200k-layer, width-1 layered instance is one s-t path of 200k arcs:
+  // a Dinic DFS that recursed per path vertex overflowed the stack here and
+  // killed the whole process with every session on it.
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  const std::string load = engine.handle(
+      "load --spec \"layered:layers=200000,width=1,fanout=1,cap=5\"");
+  ASSERT_TRUE(json_bool(load, "ok")) << load;
+
+  const std::string reference = engine.handle("solve --solver push_relabel");
+  ASSERT_TRUE(json_bool(reference, "ok")) << reference;
+  const std::string solve = engine.handle("solve --solver dinic");
+  ASSERT_TRUE(json_bool(solve, "ok")) << solve;
+  EXPECT_EQ(json_ll(solve, "flow"), json_ll(reference, "flow"));
+  EXPECT_TRUE(json_bool(engine.handle("session"), "ok"));
+}
+
+TEST(ServeEngine, NonFiniteCapacitiesAreRefusedAndTheSessionKeepsServing) {
+  // inf capacities used to be accepted: the next solve then spun inside one
+  // blocking-flow phase (inf - inf residuals) or answered flow:null. Each
+  // refusal is asserted before the next solve is sent, so a regression
+  // fails here instead of hanging.
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  ASSERT_TRUE(json_bool(engine.handle("load --spec grid:side=4,seed=1"), "ok"));
+  const std::string solve0 = engine.handle("solve --solver dinic");
+  ASSERT_TRUE(json_bool(solve0, "ok")) << solve0;
+  const long long rev0 = json_ll(engine.handle("session"), "revision");
+
+  for (const char* bad : {"reconfigure --edits 0:inf,1:inf",
+                          "reconfigure --edits 0:inf",
+                          "reconfigure --edits 2:nan"}) {
+    const std::string resp = engine.handle(bad);
+    ASSERT_FALSE(json_bool(resp, "ok")) << bad << " -> " << resp;
+    EXPECT_EQ(json_string(resp, "code"), "invalid_argument") << resp;
+    EXPECT_EQ(json_ll(engine.handle("session"), "revision"), rev0);
+    const std::string solve = engine.handle("solve --solver dinic");
+    ASSERT_TRUE(json_bool(solve, "ok")) << solve;
+    EXPECT_EQ(json_ll(solve, "flow"), json_ll(solve0, "flow")) << solve;
+  }
+
+  // A finite capacity that a --scale overflows to inf is refused as well.
+  const std::string huge =
+      engine.handle("reconfigure --edits 0:1e308,1:1e308");
+  ASSERT_TRUE(json_bool(huge, "ok")) << huge;
+  const long long rev1 = json_ll(huge, "revision");
+  const std::string scaled = engine.handle("reconfigure --scale 10");
+  ASSERT_FALSE(json_bool(scaled, "ok")) << scaled;
+  EXPECT_EQ(json_string(scaled, "code"), "invalid_argument") << scaled;
+  EXPECT_EQ(json_ll(engine.handle("session"), "revision"), rev1);
+  const std::string solve = engine.handle("solve --solver dinic --scratch");
+  EXPECT_TRUE(json_bool(solve, "ok")) << solve;
+}
+
+TEST(ServeEngine, OversizedOrUnsatisfiableSpecsAreRefused) {
+  // Each spec used to crash (an int size wrapping to 0), wedge (sampling
+  // 2e9 distinct edges out of 2 possible ones) or fail with a misleading
+  // error from wrapped vertex indices. The small unsatisfiable case leads,
+  // so a regression fails on it instead of wedging on the later ones.
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  for (const char* spec : {"uniform:n=2,m=3", "grid:side=65536",
+                           "layered:layers=65536,width=65536",
+                           "gridflow:height=65536,width=65536",
+                           "uniform:n=2,m=2000000000"}) {
+    const std::string resp =
+        engine.handle(std::string("load --spec \"") + spec + "\"");
+    ASSERT_FALSE(json_bool(resp, "ok")) << spec << " -> " << resp;
+    ASSERT_EQ(json_string(resp, "code"), "invalid_argument") << resp;
+  }
+  ASSERT_TRUE(json_bool(engine.handle("load --spec grid:side=4,seed=1"), "ok"));
+  const std::string solve = engine.handle("solve --solver dinic");
+  EXPECT_TRUE(json_bool(solve, "ok")) << solve;
+  EXPECT_EQ(json_ll(solve, "flow"), 90) << solve;
 }

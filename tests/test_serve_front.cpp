@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -251,7 +252,16 @@ TEST_P(ServeFrontTransport, HundredsOfIdleConnectionsCostNoThreads) {
   clients.back()->send_raw("session\n");
   EXPECT_TRUE(json_ok(clients.back()->read_line()));
 
-  const int threads_before = serve_test::process_thread_count();
+  // Threads that earlier tests joined can stay in the process count for a
+  // moment after their join returns, so the baseline is taken once the
+  // count has held still for 50 ms (waiting at most 2 s).
+  int threads_before = serve_test::process_thread_count();
+  for (int steady = 0, waits = 0; steady < 5 && waits < 200; ++waits) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int now = serve_test::process_thread_count();
+    steady = now == threads_before ? steady + 1 : 0;
+    threads_before = now;
+  }
   while (static_cast<int>(clients.size()) < kConnections) {
     clients.push_back(std::make_unique<Client>(harness));
     ASSERT_TRUE(clients.back()->connected())
@@ -275,6 +285,35 @@ TEST_P(ServeFrontTransport, HundredsOfIdleConnectionsCostNoThreads) {
   EXPECT_EQ(harness.front().sessions_accepted(), kConnections);
   EXPECT_EQ(harness.front().telemetry().open_connections.load(),
             kConnections);
+}
+
+TEST_P(ServeFrontTransport, StatsFrontObjectKeepsItsKeyOrder) {
+  // The wire format of the `stats` response's "front" object: the two
+  // plane sizes, then the ten counters in docs/BENCH_FORMAT.md order.
+  FrontHarness harness(GetParam());
+  Client c(harness);
+  c.send_raw("stats\n");
+  const std::string stats = c.read_line();
+  ASSERT_TRUE(json_ok(stats)) << stats;
+  const size_t begin = stats.find("\"front\":{");
+  ASSERT_NE(begin, std::string::npos) << stats;
+  const std::string front =
+      stats.substr(begin, stats.find('}', begin) - begin);
+  std::vector<std::string> keys; // a flat object: "key":number items
+  std::istringstream items(front.substr(front.find('{') + 1));
+  for (std::string item; std::getline(items, item, ',');)
+    keys.push_back(item.substr(1, item.find('"', 1) - 1));
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "io_threads", "workers", "accepted_unix",
+                      "accepted_tcp", "rejected", "open_connections",
+                      "requests_queued", "responses_written",
+                      "backpressure_pauses", "oversized_frames",
+                      "hangup_cancels", "short_writes"}))
+      << front;
+  EXPECT_NE(front.find(GetParam() == Transport::kUnix ? "\"accepted_unix\":1"
+                                                     : "\"accepted_tcp\":1"),
+            std::string::npos)
+      << front;
 }
 
 TEST_P(ServeFrontTransport, PipelinedRequestsAreAnsweredInPerSessionOrder) {

@@ -18,11 +18,14 @@ a per-failure report if any dangles:
    and live inside C string literals (``\\"`` and ``%%`` are normalised
    before matching).
 
-3. Metrics keys. Every key that ``core::write_metrics_fields``
-   (``src/core/batch_engine.cpp``), the one ``SolveMetrics`` JSON writer
-   behind serve responses and ``aflow bench --json``, emits must name a
-   table row of ``docs/BENCH_FORMAT.md`` (a backticked name in the row's
-   first cell).
+3. Telemetry counters. Every row of the two counter tables, the
+   ``AFLOW_SOLVE_COUNTERS`` X-macro (``src/flow/maxflow.hpp``: the
+   ``SolveMetrics`` fields and the metrics object of serve responses and
+   ``aflow bench --json``) and ``AFLOW_FRONT_COUNTERS``
+   (``src/core/serve_front.hpp``: the ``front`` object of ``stats``), must
+   name a table row of ``docs/BENCH_FORMAT.md`` (a backticked name in the
+   row's first cell). A table that is missing or has no ``X(name)`` rows
+   fails the check too.
 
 Stdlib only; run from anywhere inside the repo.
 """
@@ -36,7 +39,10 @@ CODE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".py"}
 SKIP_DIRS = {".git", "build", ".claude"}
 CITED_DOCS = ("DESIGN.md", "EXPERIMENTS.md")
 
-METRICS_WRITER = REPO / "src" / "core" / "batch_engine.cpp"
+COUNTER_TABLES = {
+    "AFLOW_SOLVE_COUNTERS": REPO / "src" / "flow" / "maxflow.hpp",
+    "AFLOW_FRONT_COUNTERS": REPO / "src" / "core" / "serve_front.hpp",
+}
 METRICS_DOC = REPO / "docs" / "BENCH_FORMAT.md"
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -90,11 +96,13 @@ def normalise_code(text):
     return re.sub(r"  +", " ", text)
 
 
-def metrics_writer_keys():
-    """Keys in the body of write_metrics_fields, in write order."""
-    text = METRICS_WRITER.read_text(encoding="utf-8")
-    body = re.search(r"^void write_metrics_fields\(.*?^\}", text, re.S | re.M)
-    return re.findall(r'j\.field\("(\w+)"', body.group(0)) if body else []
+def counter_rows(path, macro):
+    """Counter names in the X(name) rows of the X-macro table `macro` (its
+    #define and every backslash-continued line after it), in order."""
+    text = path.read_text(encoding="utf-8")
+    table = re.search(r"^#define " + macro + r"\(X\)((?:[^\n]*\\\n)*[^\n]*)",
+                      text, re.M)
+    return re.findall(r"\bX\((\w+)\)", table.group(1)) if table else []
 
 
 def documented_table_keys(md_path):
@@ -106,24 +114,23 @@ def documented_table_keys(md_path):
     return keys
 
 
-def check_metrics_keys(failures):
-    keys = metrics_writer_keys()
-    if not keys:
-        failures.append(
-            f"{METRICS_WRITER.relative_to(REPO)}: no write_metrics_fields "
-            f"body with j.field keys found")
-        return
+def check_counter_tables(failures):
     documented = documented_table_keys(METRICS_DOC)
-    for key in keys:
-        if key not in documented:
-            failures.append(
-                f"{METRICS_DOC.relative_to(REPO)}: metrics key `{key}` "
-                f"(written by core::write_metrics_fields) has no table row")
+    for macro, path in COUNTER_TABLES.items():
+        rel = path.relative_to(REPO)
+        rows = counter_rows(path, macro)
+        if not rows:
+            failures.append(f"{rel}: no {macro} table with X(name) rows found")
+        for name in rows:
+            if name not in documented:
+                failures.append(
+                    f"{METRICS_DOC.relative_to(REPO)}: counter `{name}` "
+                    f"({macro} in {rel}) has no table row")
 
 
 def main():
     failures = []
-    check_metrics_keys(failures)
+    check_counter_tables(failures)
 
     for md in md_files():
         rel = md.relative_to(REPO)
@@ -167,7 +174,7 @@ def main():
             print(f"  {f}")
         return 1
     print("check_doc_links: all markdown links and doc citations resolve, "
-          "and every metrics key is documented.")
+          "and every telemetry counter is documented.")
     return 0
 
 
