@@ -602,11 +602,13 @@ void ServeFront::run() {
 #undef AFLOW_WRITE_FRONT_COUNTER
   });
 
-  for (size_t i = 0; i < impl_->loops.size(); ++i)
-    impl_->loops[i]->thread =
-        std::thread([&runtime, i] { runtime.loop_main(i); });
+  // Loop 0, the only acceptor, starts last: every front thread exists
+  // before the first connection is accepted.
   for (int i = 0; i < impl_->worker_count; ++i)
     impl_->workers.emplace_back([&runtime] { runtime.worker_main(); });
+  for (size_t i = impl_->loops.size(); i-- > 0;)
+    impl_->loops[i]->thread =
+        std::thread([&runtime, i] { runtime.loop_main(i); });
 
   // Coordinator: wait for stop() or a session's `shutdown` request. The
   // poll interval bounds shutdown-detection staleness, same as the loops.

@@ -41,7 +41,7 @@ namespace aflow::flow {
 /// "not recorded".
 struct CapacityEdit {
   int edge = -1;
-  double capacity = 0.0;      // new capacity (validated: must be positive)
+  double capacity = 0.0;      // new capacity (validated: positive and finite)
   double old_capacity = -1.0; // pre-edit capacity, when known
 };
 

@@ -124,13 +124,7 @@ AnalogMinCutResult solve_mincut_dual(const graph::FlowNetwork& net,
   circuit::DeviceState state = circuit::DeviceState::initial(built.nl);
 
   AnalogMinCutResult out;
-  auto accumulate = [&](const sim::DcStats& s) {
-    out.iterations += s.iterations;
-    out.warm_iterations += s.warm_iterations;
-    out.cold_iterations += s.cold_iterations;
-    out.full_factors += s.full_factors;
-    out.refactors += s.refactors;
-  };
+  auto accumulate = [&](const sim::DcStats& s) { sim::add_dc_stats(out, s); };
 
   // Cross-request warm start (see DualCircuitOptions::reuse_pool): the
   // shared bit-stable pool protocol seeds the LCP search from the previous

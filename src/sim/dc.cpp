@@ -228,4 +228,12 @@ PooledWarmStart pooled_warm_start(
   return out;
 }
 
+void add_dc_stats(flow::SolveMetrics& metrics, const DcStats& stats) {
+  metrics.iterations += stats.iterations;
+  metrics.warm_iterations += stats.warm_iterations;
+  metrics.cold_iterations += stats.cold_iterations;
+  metrics.full_factors += stats.full_factors;
+  metrics.refactors += stats.refactors;
+}
+
 } // namespace aflow::sim

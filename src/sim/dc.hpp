@@ -27,6 +27,7 @@
 
 #include "circuit/mna.hpp"
 #include "core/reuse_pool.hpp"
+#include "flow/maxflow.hpp"
 #include "la/lu.hpp"
 #include "util/cancel.hpp"
 
@@ -228,5 +229,10 @@ PooledWarmStart pooled_warm_start(
     DcSolver& solver, core::ReusePool& pool, std::uint64_t key,
     circuit::DeviceState& state, int iteration_budget,
     const std::function<void(const DcStats&)>& on_failed_attempt);
+
+/// Adds one DC solve's counters to `metrics`: iterations (with their warm
+/// and cold split), full factorisations and refactors. The sweep and the
+/// min-cut dual account every solve they run this way.
+void add_dc_stats(flow::SolveMetrics& metrics, const DcStats& stats);
 
 } // namespace aflow::sim

@@ -17,13 +17,7 @@ SweepResult QuasiStaticSweep::run(const std::vector<double>& values,
   // previous one, so the factorisation-reuse fast path carries over.
   DcSolver solver(*net_, options_);
 
-  auto accumulate = [&](const DcStats& s) {
-    result.stats.iterations += s.iterations;
-    result.stats.warm_iterations += s.warm_iterations;
-    result.stats.cold_iterations += s.cold_iterations;
-    result.stats.full_factors += s.full_factors;
-    result.stats.refactors += s.refactors;
-  };
+  auto accumulate = [&](const DcStats& s) { add_dc_stats(result.stats, s); };
 
   // Cross-request warm start (see header): the shared bit-stable pool
   // protocol seeds point 0 from the previous same-pattern request's

@@ -253,12 +253,16 @@ TEST_P(ServeFrontTransport, HundredsOfIdleConnectionsCostNoThreads) {
   EXPECT_TRUE(json_ok(clients.back()->read_line()));
 
   // Threads that earlier tests joined can stay in the process count for a
-  // moment after their join returns, so the baseline is taken once the
-  // count has held still for 50 ms (waiting at most 2 s).
+  // moment after their join returns. The baseline may therefore fall while
+  // they drain, until it has held still for 50 ms (waiting at most 2 s),
+  // but it may never rise: a thread born now is a front thread that did
+  // not exist after the first request.
   int threads_before = serve_test::process_thread_count();
   for (int steady = 0, waits = 0; steady < 5 && waits < 200; ++waits) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     const int now = serve_test::process_thread_count();
+    ASSERT_LE(now, threads_before)
+        << "the front started a thread after its first request";
     steady = now == threads_before ? steady + 1 : 0;
     threads_before = now;
   }
