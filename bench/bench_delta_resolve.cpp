@@ -18,9 +18,8 @@
 //       delta_fallbacks == 0),
 //   (c) wall-clock speedup incremental vs scratch >= --min-speedup
 //       (default 3x) over the whole stream, scaled per backend (dinic
-//       carries the full gate; push-relabel's slack-bounded warm restart
-//       runs at 0.9x of it — both backends sit at the shared carry-cost
-//       ceiling, see DESIGN.md "Incremental re-solve: the delta path").
+//       carries the full gate; push-relabel's flood restart runs at 0.9x
+//       of it — see DESIGN.md "Incremental re-solve: the delta path").
 //
 //   bench_delta_resolve [--spec grid:side=31,seed=7] [--steps 64]
 //                       [--edit-frac 0.01] [--edit-mag 0.15] [--reps 3]
@@ -54,13 +53,12 @@ struct Backend {
                                      const util::CancelToken&);
   // Per-backend scaling of --min-speedup. Dinic carries the headline gate:
   // after the delta repair the residual is within O(edits) of maximal, and
-  // an augmenting-path search routes the remainder almost for free. The
-  // push-relabel warm restart (slack-bounded source budget instead of the
-  // old full preflow flood) now does O(budget) restart work too — its ops
-  // drop ~40x vs scratch on the default stream — so its gate sits just
-  // under dinic's, at the shared ceiling both backends hit: the per-step
-  // carry cost (residual rebuild + conservation repair) that dominates
-  // once restart work is small (measurements and analysis in DESIGN.md
+  // an augmenting-path search routes the remainder almost for free.
+  // Push-relabel restarts by flooding every live source arc from the
+  // repaired flow and returning what cannot reach the sink, so a step
+  // does more operations than dinic's, and the gate is a ratio to
+  // push-relabel's own scratch solve, which parks and refreshes heights
+  // too. Its gate sits at 0.9x of dinic's (measurements in DESIGN.md
   // "Incremental re-solve: the delta path").
   double gate_scale;
 };
@@ -213,12 +211,11 @@ int main(int argc, char** argv) {
                 b.name, steps + 1, ok ? "OK" : "FAILED", m.delta_solves,
                 m.delta_fallbacks, m.edges_touched, scratch.operations,
                 inc.operations);
-    if (m.injected_excess_arcs || m.warm_escalations || m.phase2_fallbacks)
+    if (m.injected_excess_arcs || m.phase2_fallbacks)
       std::printf("%-14s restart telemetry: %lld injected arcs, "
-                  "%lld excess walks, %lld phase-2 fallbacks, "
-                  "%lld warm escalations\n",
+                  "%lld excess walks, %lld phase-2 fallbacks\n",
                   b.name, m.injected_excess_arcs, m.returned_excess_walks,
-                  m.phase2_fallbacks, m.warm_escalations);
+                  m.phase2_fallbacks);
 
     GateResult g{std::string("delta_vs_scratch_") + b.name, 0.0,
                  min_speedup * b.gate_scale, 0.0, 0.0, false};

@@ -19,20 +19,21 @@
 //   (c) the parallel region-solve stage beats a whole single-thread direct
 //       dinic by >= --min-speedup (default 2x): the region subproblems are
 //       small enough that even their *sequential* sum undercuts the direct
-//       solve (measured ~4.6x on the 1M-node grid), and the stage divides
-//       across BatchEngine workers. The end-to-end speedup is reported but
-//       not gated — at this scale the sequential stitch-repair + refinement
-//       tail dominates (~0.8x end-to-end; see the ROADMAP follow-up on
-//       parallelising the tail),
+//       solve, and the stage divides across BatchEngine workers (on the
+//       1M-node grid, 2.1 s of push-relabel region solves against 320 s of
+//       direct dinic on a 4-core x86-64 host). The end-to-end speedup is
+//       reported but not gated — at this scale the sequential stitch repair
+//       dominates (2.0x end-to-end, 151 s of its 160 s in the stitch; see
+//       the ROADMAP flow-path item),
 //   (d) peak RSS of the sharded pipeline <= --rss-budget-mb (default 384;
-//       the 1M-node grid measures 287 MB on a 4-core x86-64 host). The
+//       the 1M-node grid measures 313 MB on a 4-core x86-64 host). The
 //       sharded pipeline runs first, so its VmHWM reading is
 //       uncontaminated; the direct pipeline's second copy of the graph and
-//       its dinic residual then push VmHWM to 349 MB, which the report
+//       its dinic residual then push VmHWM to 352 MB, which the report
 //       surfaces as the baseline's overhead.
 //
 //   bench_sharded [--height 1000] [--width 1000] [--cap 64] [--seed 7]
-//                 [--shards 8] [--threads 0] [--region-solver dinic]
+//                 [--shards 8] [--threads 0] [--region-solver push_relabel]
 //                 [--min-speedup 2.0] [--rss-budget-mb 384]
 //                 [--dimacs FILE] [--smoke] [--json FILE]
 //
@@ -83,8 +84,8 @@ int main(int argc, char** argv) {
   const int seed = bench::arg_int(argc, argv, "--seed", 7);
   const int shards = bench::arg_int(argc, argv, "--shards", smoke ? 4 : 8);
   const int threads = bench::arg_int(argc, argv, "--threads", 0);
-  const std::string region_solver =
-      bench::arg_string(argc, argv, "--region-solver", "dinic");
+  const std::string region_solver = bench::arg_string(
+      argc, argv, "--region-solver", core::ShardOptions{}.region_solver);
   const double min_speedup =
       bench::arg_double(argc, argv, "--min-speedup", smoke ? 0.0 : 2.0);
   const double rss_budget_mb =

@@ -81,17 +81,14 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
 
   flow::MaxFlowResult result;
   if (k < 2) {
-    // Degenerate shard count: one region is just the direct residual solve.
+    // Degenerate shard count: one region is just the direct solve.
     rep.regions = 1;
     rep.region_vertices = {n};
     rep.upper_bound = trivial_bound;
     const auto t0 = Clock::now();
-    flow::detail::Residual r(g);
-    flow::detail::dinic_augment(r, s, t, rep.refine_operations, cancel);
+    result = flow::push_relabel(g, cancel);
     rep.refine_seconds = seconds_since(t0);
-    result.flow_value = r.flow_value_at(g, s);
-    result.edge_flow = r.edge_flows(g);
-    result.operations = rep.refine_operations;
+    rep.refine_operations = result.operations;
     rep.flow_value = result.flow_value;
     rep.refined_added = result.flow_value;
     return result;
@@ -231,7 +228,6 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
     for (const InstanceOutcome& out : batch.outcomes) {
       if (out.ok) continue;
       cancel.check(); // a cancelled solve must not burn retries
-      long long ops = 0;
       bool recovered = false;
       for (int a = 0; a < options_.region_retries && !recovered; ++a) {
         ++rep.region_retries;
@@ -256,12 +252,7 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
           direct.index = out.index;
           const graph::FlowNetwork net = make(out.index);
           net.validate();
-          flow::detail::Residual rr(net);
-          flow::detail::dinic_augment(rr, net.source(), net.sink(), ops,
-                                      cancel);
-          direct.result.flow_value = rr.flow_value_at(net, net.source());
-          direct.result.edge_flow = rr.edge_flows(net);
-          direct.result.operations = ops;
+          direct.result = flow::push_relabel(net, cancel);
           consume(direct);
         } catch (const util::CancelledError&) {
           throw;
@@ -310,8 +301,11 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
   rep.stitch_seconds = seconds_since(stitch_t0);
 
   // --- Exact refinement on the full residual -----------------------------
+  // The same push-relabel pass as a cold solve, flooding from the stitched
+  // flow.
   const auto refine_t0 = Clock::now();
-  flow::detail::dinic_augment(r, s, t, rep.refine_operations, cancel);
+  rep.refine_operations =
+      flow::detail::push_relabel_augment(r, s, t, cancel, &result.metrics);
   rep.refine_seconds = seconds_since(refine_t0);
 
   result.flow_value = r.flow_value_at(g, s);

@@ -3,7 +3,8 @@
 // worker pool -> boundary stitch -> conservation repair -> exact refinement
 // on the full residual, with a valid optimality bound reported at every
 // stage. The returned flow value is exactly the max flow: the refinement
-// pass augments the stitched feasible flow to maximality regardless of how
+// (the push-relabel pass of flow/residual.hpp, flooding from the stitched
+// flow) augments the stitched feasible flow to maximality regardless of how
 // good the stitch was, so partition quality only moves work between the
 // parallel region stage and the sequential refinement stage, never
 // correctness.
@@ -26,8 +27,9 @@ struct ShardOptions {
   /// non-analog (region solves feed an exactness-preserving stitch; an
   /// approximate region flow would push its error into refinement work, and
   /// the analog adapters' crossbar sizing is not meant for shard-scale
-  /// subproblems).
-  std::string region_solver = "dinic";
+  /// subproblems). The default is the kernel the refinement runs too; the
+  /// CLI, serve and bench_sharded read it from here.
+  std::string region_solver = "push_relabel";
   /// Worker threads for region solves; 0 picks hardware concurrency.
   int num_threads = 0;
   /// In-order single-thread region solves (clean traces; results are
@@ -38,7 +40,7 @@ struct ShardOptions {
   /// Degradation ladder, region rung: a failed (or fault-injected) region
   /// solve is retried up to this many times through the region backend; if
   /// every retry fails too, the region is re-solved directly on the calling
-  /// thread with the built-in exact solver. Both recoveries are reported
+  /// thread with the built-in push-relabel pass. Both recoveries are reported
   /// (ShardReport::region_retries / region_direct_solves and the
   /// fallback_region_* SolveMetrics counters); only when the direct rung
   /// itself fails does the solve throw.

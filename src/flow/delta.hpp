@@ -17,10 +17,11 @@
 //     decomposition of the carried pseudo-flow, so the repair is total and
 //     needs O(|changed region|) path searches for a k-edge edit;
 //  3. re-augment: run the backend's own maximum-flow machinery from the
-//     repaired feasible flow (Dinic blocking flows, or FIFO push-relabel
-//     seeded as a preflow), which only does work where the edits opened new
-//     slack. The result is a true maximum flow of the edited network — the
-//     invalidation rule and its soundness argument live in DESIGN.md
+//     repaired feasible flow (Dinic blocking flows, or the push-relabel pass
+//     flooding the source arcs that can still reach the sink), which only
+//     does work where the edits opened new slack. The result is a true
+//     maximum flow of the edited network — the invalidation rule and its
+//     soundness argument live in DESIGN.md
 //     "Incremental re-solve: the delta path".
 //
 // The delta path never trades correctness for speed: a prior of the wrong

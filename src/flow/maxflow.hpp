@@ -1,9 +1,10 @@
 // Classical (digital) max-flow solvers.
 //
-// `push_relabel` (FIFO active list, gap heuristic, initial global relabel)
-// is the paper's CPU baseline (Goldberg-Tarjan); `dinic` and `edmonds_karp`
-// serve as independent cross-checks and alternative baselines. All solvers
-// return per-edge flows so the analog solution can be compared edge-wise.
+// `push_relabel` (FIFO active list, gap heuristic, global relabels that
+// also refresh heights mid-pass, parking at height n) is the paper's CPU
+// baseline (Goldberg-Tarjan); `dinic` and `edmonds_karp` serve as
+// independent cross-checks and alternative baselines. All solvers return
+// per-edge flows so the analog solution can be compared edge-wise.
 #pragma once
 
 #include <vector>
@@ -19,10 +20,9 @@ namespace aflow::flow {
 /// writer are all generated from this table, so a new counter is one row
 /// here plus one doc row.
 ///
-/// Push-relabel restarts (flow/push_relabel.cpp): a cold start floods every
-/// live source arc, one injected_excess_arcs tick per arc; a slack-bounded
-/// warm restart seeds its whole budget at the source, one tick per pass,
-/// so injected_excess_arcs is the direct measure of restart locality.
+/// Push-relabel passes (flow/push_relabel.cpp) flood every live source arc,
+/// cold or restarted from a carried flow: one injected_excess_arcs tick per
+/// arc. warm_escalations always reads 0; it stays for the v1 wire format.
 /// The fallback_* rows are the graceful-degradation ladder (DESIGN.md
 /// "Failure taxonomy and the degradation ladder"): one tick per fallback
 /// rung taken on behalf of the solve, so no recovery is silent.
@@ -43,7 +43,7 @@ namespace aflow::flow {
   X(injected_excess_arcs)    /* push-relabel restart excess injections */    \
   X(returned_excess_walks)   /* phase-2 walks hauling excess home */         \
   X(phase2_fallbacks)        /* slow legacy discharge after a dead end */    \
-  X(warm_escalations)        /* warm restarts whose certificate failed */    \
+  X(warm_escalations)        /* always 0; kept for the v1 wire format */     \
   X(fallback_analog_digital) /* analog failure -> digital backend */         \
   X(fallback_region_retries) /* sharded region solve re-attempts */          \
   X(fallback_region_direct)  /* region solved by local direct rung */        \

@@ -5,30 +5,35 @@
 
 namespace aflow::flow::detail {
 
-Residual::Residual(const graph::FlowNetwork& net)
+Residual::Residual(const graph::FlowNetwork& net) : Residual(net, {}) {}
+
+Residual::Residual(const graph::FlowNetwork& net,
+                   std::span<const double> prior_flow)
     : incidence(graph::incidence(net)), n(net.num_vertices()) {
   const int m = net.num_edges();
   cap.resize(2 * static_cast<size_t>(m));
   head.resize(2 * static_cast<size_t>(m));
   for (int e = 0; e < m; ++e) {
     const auto& edge = net.edge(e);
-    cap[2 * static_cast<size_t>(e)] = edge.capacity;
-    cap[2 * static_cast<size_t>(e) + 1] = 0.0;
+    const double f =
+        prior_flow.empty() ? 0.0 : std::clamp(prior_flow[e], 0.0, edge.capacity);
+    cap[2 * static_cast<size_t>(e)] = edge.capacity - f;
+    cap[2 * static_cast<size_t>(e) + 1] = f;
     head[2 * static_cast<size_t>(e)] = edge.to;
     head[2 * static_cast<size_t>(e) + 1] = edge.from;
   }
 }
 
-Residual::Residual(const graph::FlowNetwork& net,
-                   std::span<const double> prior_flow)
-    : Residual(net) {
-  const int m = net.num_edges();
-  for (int e = 0; e < m; ++e) {
-    const double c = net.edge(e).capacity;
-    const double f = std::clamp(prior_flow[e], 0.0, c);
-    cap[2 * static_cast<size_t>(e)] = c - f;
-    cap[2 * static_cast<size_t>(e) + 1] = f;
-  }
+double Residual::capacity_scale() const {
+  // Four independent running maxima: a single one is a chain of dependent
+  // max instructions, and every repair and push-relabel pass runs this scan.
+  double lane[4] = {1.0, 1.0, 1.0, 1.0};
+  const size_t whole = cap.size() / 4 * 4;
+  for (size_t i = 0; i < whole; i += 4)
+    for (size_t k = 0; k < 4; ++k) lane[k] = std::max(lane[k], cap[i + k]);
+  for (size_t i = whole; i < cap.size(); ++i)
+    lane[0] = std::max(lane[0], cap[i]);
+  return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
 }
 
 double Residual::flow_value_at(const graph::FlowNetwork& net, int s) const {
@@ -70,24 +75,15 @@ namespace {
 /// exactly as before).
 constexpr double kImbalanceEps = 1e-9;
 
-double capacity_scale(const Residual& r) {
-  double scale = 1.0;
-  for (const double c : r.cap) scale = std::max(scale, c);
-  return scale;
-}
-
 /// Shortest-path repair pusher over a carried residual. Both directions
 /// terminate by flow decomposition of the carried pseudo-flow: a surplus
 /// node's extra inflow is reversible back to the source, a deficit node's
 /// extra outflow is reversible back from the sink.
 class ConservationRepair {
  public:
-  ConservationRepair(Residual& r, int s, int t, ArcTouchLog* touched)
-      : r_(r), s_(s), t_(t), eps_(kImbalanceEps * capacity_scale(r)),
-        im_(r.imbalances()), parent_arc_(r.n, -1), seen_(r.n, 0),
-        touched_(touched) {
-    if (touched_) arc_logged_.assign(r.cap.size(), 0);
-  }
+  ConservationRepair(Residual& r, int s, int t)
+      : r_(r), s_(s), t_(t), eps_(kImbalanceEps * r.capacity_scale()),
+        im_(r.imbalances()), parent_arc_(r.n, -1), seen_(r.n, 0) {}
 
   /// All excesses drain before any deficit fills: once no excess nodes
   /// remain, decomposing the carried pseudo-flow shows every deficit node's
@@ -118,17 +114,7 @@ class ConservationRepair {
     return v != s_ && v != t_ && im_[v] < -eps_;
   }
 
-  /// Moves `amount` across `arc`, logging both directions' pre-push
-  /// capacities on first touch when a touch log is attached.
   void push_arc(int arc, double amount) {
-    if (touched_) {
-      for (const int a : {arc, r_.rev(arc)}) {
-        if (!arc_logged_[static_cast<size_t>(a)]) {
-          arc_logged_[static_cast<size_t>(a)] = 1;
-          touched_->emplace_back(a, r_.cap[static_cast<size_t>(a)]);
-        }
-      }
-    }
     r_.cap[static_cast<size_t>(arc)] -= amount;
     r_.cap[static_cast<size_t>(r_.rev(arc))] += amount;
   }
@@ -221,8 +207,6 @@ class ConservationRepair {
   std::vector<double> im_;
   std::vector<int> parent_arc_;
   std::vector<int> seen_; // visit stamps: seen_[u] == stamp_ means visited
-  ArcTouchLog* touched_;
-  std::vector<char> arc_logged_; // per-arc "already in the touch log" flag
   int stamp_ = 0;
 };
 
@@ -230,13 +214,7 @@ class ConservationRepair {
 
 bool repair_conservation(Residual& r, int s, int t, long long& ops,
                          const util::CancelToken& cancel) {
-  return ConservationRepair(r, s, t, nullptr).run(ops, cancel);
-}
-
-bool repair_conservation(Residual& r, int s, int t, long long& ops,
-                         ArcTouchLog& touched,
-                         const util::CancelToken& cancel) {
-  return ConservationRepair(r, s, t, &touched).run(ops, cancel);
+  return ConservationRepair(r, s, t).run(ops, cancel);
 }
 
 } // namespace aflow::flow::detail

@@ -45,6 +45,10 @@ struct Residual {
   /// out-edges first and then its in-edges, each in edge order.
   double flow_value_at(const graph::FlowNetwork& net, int s) const;
 
+  /// max(1, largest residual capacity): the scale that the repair's and
+  /// the push-relabel pass's dust thresholds are relative to.
+  double capacity_scale() const;
+
   /// Conservation surplus (inflow - outflow) per vertex under the carried
   /// flow, read from the residual alone: augmentation preserves
   /// cap[2e] + cap[2e+1] = capacity(e), so edge e carries cap[2e+1].
@@ -63,25 +67,12 @@ struct Residual {
 /// the sharded-solve boundary stitch (core/sharded_solver.hpp), whose
 /// min-matched cut-arc flows violate conservation exactly at region
 /// boundaries.
-/// All three entry points below take an optional util::CancelToken and
-/// check it at their natural phase boundaries (one repair push, one Dinic
+/// This entry point and the two below take an optional util::CancelToken
+/// and check it at their natural phase boundaries (one repair push, one Dinic
 /// BFS phase, every ~1k push-relabel queue pops); a tripped token unwinds
 /// with util::CancelledError. The default token never cancels and costs one
 /// null test per check.
 bool repair_conservation(Residual& r, int s, int t, long long& ops,
-                         const util::CancelToken& cancel = {});
-
-/// Pre-repair residual capacities of the arcs a repair pass mutated: one
-/// (arc id, capacity before the first touch) entry per touched arc. The
-/// delta path uses this to bound a push-relabel warm restart by the slack
-/// the repair actually opened (see PushRelabelWarm below).
-using ArcTouchLog = std::vector<std::pair<int, double>>;
-
-/// As repair_conservation above, additionally recording every arc whose
-/// residual capacity the repair changed into `touched` (appended; each arc
-/// at most once, with its pre-repair capacity).
-bool repair_conservation(Residual& r, int s, int t, long long& ops,
-                         ArcTouchLog& touched,
                          const util::CancelToken& cancel = {});
 
 /// Augments the (feasible-flow) residual `r` to a maximum flow with Dinic
@@ -91,40 +82,19 @@ bool repair_conservation(Residual& r, int s, int t, long long& ops,
 double dinic_augment(Residual& r, int s, int t, long long& ops,
                      const util::CancelToken& cancel = {});
 
-/// Warm-restart plan for push_relabel_augment: instead of saturating every
-/// live source-adjacent residual arc (the cold flood), seed
-/// `injection_budget` units of excess at the source itself, labelled at its
-/// true BFS height — equivalent to flooding one virtual super-source arc
-/// s' -> s of that capacity. The discharge then chooses which source arcs
-/// carry the new flow, so the total injection is O(budget), not O(total
-/// source slack). The budget is a bound on the value still augmentable
-/// after the edit (min of the newly-opened-slack sum and the raised-cut
-/// ceiling — see flow/delta.cpp), so the capped entry still admits a
-/// maximum flow; whatever it cannot route stays parked at s and is dropped
-/// as the virtual excess it always was. A pass that parks its source
-/// (h(s) >= n) is certified maximal by its own valid labeling; a
-/// budget-exhausted pass is checked with an exact residual-reachability
-/// BFS and escalates to the cold flood on failure
-/// (SolveMetrics::warm_escalations), so correctness never depends on the
-/// budget argument — only the restart cost does. DESIGN.md "Incremental
-/// re-solve: the delta path" carries the full soundness argument.
-struct PushRelabelWarm {
-  double injection_budget = 0.0;
-};
-
-/// Runs FIFO push-relabel (gap heuristic, initial global relabel) from the
-/// feasible flow currently held in `r`, leaving `r` a maximum flow; returns
-/// pushes + relabels. A feasible flow is a preflow with no excess, so the
-/// standard initialisation (saturate s-adjacent residual arcs, discharge)
-/// is valid from any carried flow, not just the zero flow. Cold solves pass
-/// no warm plan (full source flood); the delta path passes a PushRelabelWarm
-/// whose budget is seeded as excess at the source. When `metrics` is
-/// non-null the restart counters (injected_excess_arcs,
-/// returned_excess_walks, phase2_fallbacks, warm_escalations) are added to
-/// it.
+/// Runs the one push-relabel pass (flow/push_relabel.cpp: FIFO discharge,
+/// gap heuristic, exact global relabels that also refresh heights during
+/// the pass, parking at height n and the phase-2 return of parked excess)
+/// from the feasible flow currently held in `r`, leaving `r` a maximum
+/// flow; returns pushes + relabels. A feasible flow is a preflow with no
+/// excess, so the standard initialisation (saturate the s-adjacent
+/// residual arcs, discharge) is valid from any carried flow, not just the
+/// zero flow: cold solves pass a fresh Residual, the delta path a repaired
+/// carry-over residual, the sharded solver its stitched flow. When
+/// `metrics` is non-null the pass's counters (injected_excess_arcs,
+/// returned_excess_walks, phase2_fallbacks) are added to it.
 long long push_relabel_augment(Residual& r, int s, int t,
                                const util::CancelToken& cancel = {},
-                               SolveMetrics* metrics = nullptr,
-                               const PushRelabelWarm* warm = nullptr);
+                               SolveMetrics* metrics = nullptr);
 
 } // namespace aflow::flow::detail

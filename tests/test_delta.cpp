@@ -290,11 +290,11 @@ TEST(DeltaSolve, SaturatingIncreaseReaugments) {
 TEST(DeltaSolve, DustDeadEndTakesCountedLegacyFallback) {
   // Dust-capacity feeders (below the restart's capacity-relative excess
   // epsilon) leave parked excess whose flow-carrying in-arcs are all dust:
-  // the phase-2 return walk dead-ends even with freshly invalidated
-  // cursors and must hand off to the legacy discharge fallback — counted
-  // in phase2_fallbacks, never silent — which still produces a maximum
-  // flow. Two feeders and a depth-2 tail make the dead end deterministic
-  // (one feeder's worth of excess parks above n with only dust inflow).
+  // the phase-2 return walk dead-ends and must hand off to the legacy
+  // discharge fallback — counted in phase2_fallbacks, never silent — which
+  // still produces a maximum flow. Two feeders and a depth-2 tail make the
+  // dead end deterministic (one feeder's worth of excess parks at n or
+  // above with only dust inflow).
   graph::FlowNetwork g(6, 0, 5);
   g.add_edge(0, 1, 9e-12); // dust feeders...
   g.add_edge(0, 2, 9e-12);
@@ -309,7 +309,7 @@ TEST(DeltaSolve, DustDeadEndTakesCountedLegacyFallback) {
   EXPECT_DOUBLE_EQ(r.flow_value, flow::dinic(g).flow_value);
 
   // The incremental path over the same dust instance stays correct too
-  // (whatever mix of warm restart, escalation, and phase-2 fallback runs).
+  // (whether or not its restart takes the phase-2 fallback).
   graph::FlowNetwork edited = g;
   const flow::CapacityDelta d = edit_edges(edited, {{5, 3e-12}});
   const flow::MaxFlowResult w = flow::push_relabel_delta(edited, d, r);
@@ -321,8 +321,9 @@ TEST(DeltaSolve, SourceAdjacentDecreaseHeavyBatchesMatchScratch) {
   // Decrease-heavy batches concentrated on source-adjacent arcs are the
   // delta path's hardest repair shape: cutting source arcs strands carried
   // flow that the conservation repair must drain before re-augmenting, and
-  // the push-relabel warm restart must price the repair's rerouting into
-  // its budget (a clean stream escalates never, falls back never).
+  // the push-relabel restart floods the source arcs from that repaired
+  // flow (a clean stream never falls back; warm_escalations, a retired
+  // counter, stays 0).
   for (const auto& [name, solve_delta] : kDeltaSolvers) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const graph::FlowNetwork base = graph::uniform_random(40, 160, 32, seed);
@@ -348,9 +349,8 @@ TEST(DeltaSolve, SourceAdjacentDecreaseHeavyBatchesMatchScratch) {
 
 TEST(DeltaSolve, SourceAdjacentMixedBatchesMatchScratch) {
   // Mixed increase/decrease batches on the source frontier: increases open
-  // fresh source slack (slack budget side) while simultaneous decreases
-  // force repair reroutes (cut budget side) — the warm restart must stay
-  // exact when both budget arguments are active in one step, across a
+  // fresh source slack while simultaneous decreases force repair reroutes
+  // — the restart must stay exact when both happen in one step, across a
   // chained stream where each step's result seeds the next.
   for (const auto& [name, solve_delta] : kDeltaSolvers) {
     for (std::uint64_t seed = 2; seed <= 4; ++seed) {
@@ -381,6 +381,40 @@ TEST(DeltaSolve, SourceAdjacentMixedBatchesMatchScratch) {
       }
     }
   }
+}
+
+TEST(DeltaSolve, GridStreamRestartsMatchScratch) {
+  // A chained edit stream on a segmentation grid, where every pixel has a
+  // source arc: each push-relabel restart floods hundreds of live source
+  // arcs from the repaired flow, parks the excess that cannot reach the
+  // sink at height n and returns it in phase 2. The steps follow the repo
+  // benchmark's pattern: three 1-edge steps per 10-edge step, each edit
+  // scaling a capacity by 1.15 or 0.85.
+  const graph::FlowNetwork base =
+      core::load_batch("grid:side=40,seed=3").front();
+  ASSERT_GE(source_out_edges(base).size(), 100u);
+  std::mt19937_64 rng(3);
+  graph::FlowNetwork current = base;
+  flow::MaxFlowResult prior = flow::push_relabel(current);
+  flow::SolveMetrics stream;
+  for (int step = 0; step < 24; ++step) {
+    std::vector<std::pair<int, double>> edits;
+    for (int k = 0; k < (step % 4 == 3 ? 10 : 1); ++k) {
+      const int e = static_cast<int>(rng() % base.num_edges());
+      edits.push_back({e, base.edge(e).capacity * ((rng() & 1) ? 1.15 : 0.85)});
+    }
+    graph::FlowNetwork edited = current;
+    const flow::CapacityDelta d = edit_edges(edited, edits);
+    const flow::MaxFlowResult r = flow::push_relabel_delta(edited, d, prior);
+    expect_max_flow(edited, r,
+                    ("push_relabel_delta step " + std::to_string(step)).c_str());
+    stream += r.metrics;
+    current = std::move(edited);
+    prior = r;
+  }
+  EXPECT_EQ(stream.delta_solves, 24);
+  EXPECT_EQ(stream.delta_fallbacks, 0);
+  EXPECT_EQ(stream.phase2_fallbacks, 0);
 }
 
 TEST(DeltaSolve, UnusablePriorFallsBackToScratch) {
@@ -482,9 +516,9 @@ TEST(BatchEngine, DeltaStreamMatchesSerialReplay) {
                 replay.outcomes[k].result.flow_value, 1e-6)
         << "instance " << k;
   }
-  // Every post-base step rode the fast path, and the warm restarts were
-  // clean: no budget-undershoot escalations to the cold flood, no phase-2
-  // dead ends into the legacy discharge fallback.
+  // Every post-base step rode the fast path, and the restarts were clean:
+  // no phase-2 dead ends into the legacy discharge fallback (and the
+  // retired warm_escalations counter stays 0).
   EXPECT_EQ(stream.metrics.delta_solves,
             static_cast<long long>(deltas.size()));
   EXPECT_EQ(stream.metrics.delta_fallbacks, 0);

@@ -206,3 +206,27 @@ TEST(Sharded, ServeSolveShardsMatchesDirectPath) {
             std::string::npos);
 }
 
+// Without --region-solver, serve's sharded solve uses the ShardOptions
+// default, push-relabel (the kernel the refinement runs too), and still
+// answers the direct solve's flow.
+TEST(Sharded, ServeSolveShardsDefaultsToTheShardOptionsRegionSolver) {
+  EXPECT_EQ(core::ShardOptions{}.region_solver, "push_relabel");
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  ASSERT_NE(engine.handle("load --spec grid:side=7,seed=4").find("\"ok\":true"),
+            std::string::npos);
+  const auto flow_of = [](const std::string& json) {
+    const auto at = json.find("\"flow\":");
+    return std::stod(json.substr(at + 7));
+  };
+  const std::string direct = engine.handle("solve --solver push_relabel");
+  ASSERT_NE(direct.find("\"ok\":true"), std::string::npos) << direct;
+
+  const std::string sharded = engine.handle("solve --shards 4");
+  ASSERT_NE(sharded.find("\"ok\":true"), std::string::npos) << sharded;
+  EXPECT_NE(sharded.find("\"region_solver\":\"push_relabel\""),
+            std::string::npos)
+      << sharded;
+  EXPECT_NEAR(flow_of(sharded), flow_of(direct), 1e-9);
+}
