@@ -20,6 +20,38 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// The per-instance body behind every entry: the batch token's check, the
+/// `batch.solve` fault site, FlowNetwork::validate, the solve and, with
+/// BatchOptions::validate, check_flow. Any throw is isolated into `out`.
+/// `net()` yields the instance (run_streamed builds it here, so a failed
+/// build is isolated too). A stateful delta solve returns no edge flows,
+/// so `state` supplies them to the check.
+template <typename Net, typename Solve>
+void run_instance(const BatchOptions& options, InstanceOutcome& out,
+                  Net&& net, Solve&& solve,
+                  const flow::DeltaState* state = nullptr) {
+  const auto t0 = Clock::now();
+  try {
+    options.cancel.check();
+    util::FaultInjector::instance().fire("batch.solve", &options.cancel);
+    decltype(auto) g = net();
+    g.validate();
+    out.result = solve(g);
+    if (options.validate) {
+      if (state && out.result.edge_flow.empty())
+        out.result.edge_flow = state->edge_flows(g);
+      const std::string err = flow::check_flow(g, out.result);
+      if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
+    }
+    out.ok = true;
+  } catch (const std::exception& e) {
+    out.ok = false;
+    out.error = e.what();
+    out.error_info = classify_error(e);
+  }
+  out.seconds = seconds_since(t0);
+}
+
 void aggregate_outcomes(BatchReport& report) {
   for (const InstanceOutcome& out : report.outcomes) {
     if (out.ok) {
@@ -86,23 +118,12 @@ BatchReport BatchEngine::run(const std::vector<graph::FlowNetwork>& instances,
     for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
       InstanceOutcome& out = report.outcomes[i];
       out.index = i;
-      const auto t0 = Clock::now();
-      try {
-        options_.cancel.check();
-        util::FaultInjector::instance().fire("batch.solve", &options_.cancel);
-        instances[i].validate();
-        out.result = solver->solve(instances[i], options_.cancel);
-        if (options_.validate) {
-          const std::string err = flow::check_flow(instances[i], out.result);
-          if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
-        }
-        out.ok = true;
-      } catch (const std::exception& e) {
-        out.ok = false;
-        out.error = e.what();
-        out.error_info = classify_error(e);
-      }
-      out.seconds = seconds_since(t0);
+      run_instance(
+          options_, out,
+          [&]() -> const graph::FlowNetwork& { return instances[i]; },
+          [&](const graph::FlowNetwork& g) {
+            return solver->solve(g, options_.cancel);
+          });
     }
   };
 
@@ -143,24 +164,11 @@ BatchReport BatchEngine::run_streamed(
     for (int i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
       InstanceOutcome& out = report.outcomes[i];
       out.index = i;
-      const auto t0 = Clock::now();
-      try {
-        options_.cancel.check();
-        util::FaultInjector::instance().fire("batch.solve", &options_.cancel);
-        const graph::FlowNetwork net = make(i);
-        net.validate();
-        out.result = solver->solve(net, options_.cancel);
-        if (options_.validate) {
-          const std::string err = flow::check_flow(net, out.result);
-          if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
-        }
-        out.ok = true;
-      } catch (const std::exception& e) {
-        out.ok = false;
-        out.error = e.what();
-        out.error_info = classify_error(e);
-      }
-      out.seconds = seconds_since(t0);
+      run_instance(
+          options_, out, [&] { return make(i); },
+          [&](const graph::FlowNetwork& g) {
+            return solver->solve(g, options_.cancel);
+          });
       if (out.ok) consume(out);
       // The consumer has scattered what it needs; keep the report light so
       // k huge regions never accumulate k huge flow vectors.
@@ -183,30 +191,38 @@ BatchReport BatchEngine::run_streamed(
   return report;
 }
 
+InstanceOutcome BatchEngine::run_one(const graph::FlowNetwork& net,
+                                     const SolverPtr& solver) const {
+  if (!solver)
+    throw std::invalid_argument("BatchEngine::run_one: solver is null");
+  InstanceOutcome out;
+  out.index = 0;
+  run_instance(
+      options_, out, [&]() -> const graph::FlowNetwork& { return net; },
+      [&](const graph::FlowNetwork& g) {
+        return solver->solve(g, options_.cancel);
+      });
+  return out;
+}
+
 InstanceOutcome BatchEngine::run_delta(const graph::FlowNetwork& net,
                                        const flow::CapacityDelta& delta,
                                        const flow::MaxFlowResult& prior,
-                                       const SolverPtr& solver) const {
+                                       const SolverPtr& solver,
+                                       flow::DeltaState* state) const {
   if (!solver)
     throw std::invalid_argument("BatchEngine::run_delta: solver is null");
   InstanceOutcome out;
   out.index = 0;
-  const auto t0 = Clock::now();
-  try {
-    options_.cancel.check();
-    net.validate();
-    out.result = solver->solve_delta(net, delta, prior, options_.cancel);
-    if (options_.validate) {
-      const std::string err = flow::check_flow(net, out.result);
-      if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
-    }
-    out.ok = true;
-  } catch (const std::exception& e) {
-    out.ok = false;
-    out.error = e.what();
-    out.error_info = classify_error(e);
-  }
-  out.seconds = seconds_since(t0);
+  run_instance(
+      options_, out, [&]() -> const graph::FlowNetwork& { return net; },
+      [&](const graph::FlowNetwork& g) {
+        return solver->solve_delta(g, delta, prior, state, options_.cancel);
+      },
+      state);
+  // A step that failed anywhere (before the solve, inside it, or in the
+  // check) left the state behind `net`'s edits or half-repaired.
+  if (!out.ok && state) state->clear();
   return out;
 }
 
@@ -220,41 +236,23 @@ BatchReport BatchEngine::run_delta(const graph::FlowNetwork& base,
   const auto batch_t0 = Clock::now();
 
   graph::FlowNetwork net = base;
+  report.outcomes.push_back(run_one(net, solver));
   flow::MaxFlowResult prior;
-
-  InstanceOutcome first;
-  first.index = 0;
-  {
-    const auto t0 = Clock::now();
-    try {
-      options_.cancel.check();
-      net.validate();
-      first.result = solver->solve(net, options_.cancel);
-      if (options_.validate) {
-        const std::string err = flow::check_flow(net, first.result);
-        if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
-      }
-      first.ok = true;
-      prior = first.result;
-    } catch (const std::exception& e) {
-      first.ok = false;
-      first.error = e.what();
-      first.error_info = classify_error(e);
-    }
-    first.seconds = seconds_since(t0);
-  }
-  report.outcomes.push_back(std::move(first));
+  if (report.outcomes.front().ok) prior = report.outcomes.front().result;
+  // One kept residual for the whole stream: after the first step carries
+  // from the scratch solve's edge flows, every step advances it in place.
+  flow::DeltaState state;
 
   for (size_t k = 0; k < deltas.size(); ++k) {
     InstanceOutcome out;
     try {
       flow::CapacityDelta d = deltas[k]; // apply() records old capacities
       d.apply(net);
-      out = run_delta(net, d, prior, solver);
+      out = run_delta(net, d, prior, solver, &state);
     } catch (const std::exception& e) {
       // A bad edit (index / capacity) fails this step. apply() is
-      // all-or-nothing, so the network still holds the previous step's
-      // state exactly and the stream continues from it.
+      // all-or-nothing, so the network (and the kept state) still holds
+      // the previous step's state exactly and the stream continues from it.
       out.ok = false;
       out.error = e.what();
       out.error_info = classify_error(e);

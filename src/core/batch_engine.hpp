@@ -115,18 +115,28 @@ class BatchEngine {
       int count, const std::function<graph::FlowNetwork(int)>& make,
       const std::function<void(InstanceOutcome&)>& consume) const;
 
+  /// Single-instance entry: solves `net` on the calling thread with the
+  /// engine's usual timing, optional validation and failure isolation, as
+  /// a one-instance outcome (index 0), without copying the instance into a
+  /// batch.
+  InstanceOutcome run_one(const graph::FlowNetwork& net,
+                          const SolverPtr& solver) const;
+
   /// Single-step delta entry: solves the post-edit `net` through
-  /// solver->solve_delta(net, delta, prior) with the engine's usual timing,
-  /// optional validation, and failure isolation, as a one-instance outcome
-  /// (index 0; the caller re-indexes when threading a stream).
+  /// solver->solve_delta(net, delta, prior, state) like run_one. A caller
+  /// streaming edits passes its flow::DeltaState (see ISolver::solve_delta);
+  /// with BatchOptions::validate the check reads edge flows from the state
+  /// when the solve returned none. A failed step clears the state.
   InstanceOutcome run_delta(const graph::FlowNetwork& net,
                             const flow::CapacityDelta& delta,
                             const flow::MaxFlowResult& prior,
-                            const SolverPtr& solver) const;
+                            const SolverPtr& solver,
+                            flow::DeltaState* state = nullptr) const;
 
   /// Reconfiguration-stream entry: outcome 0 solves `base` from scratch;
   /// outcome k >= 1 applies deltas[k-1] to the running network and
-  /// re-solves it with the previous successful result as the prior. A
+  /// re-solves it through one flow::DeltaState kept across the stream,
+  /// with the previous successful result as the prior. A
   /// stream is inherently sequential (each step consumes its predecessor),
   /// so it runs on the calling thread regardless of num_threads; a failed
   /// step is isolated like any batch failure and the next step's prior is

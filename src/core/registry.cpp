@@ -11,9 +11,11 @@ namespace aflow::core {
 namespace {
 
 /// Adapts a `flow::` free function to the ISolver interface. Backends with
-/// an incremental companion (dinic_delta, push_relabel_delta) pass it as
-/// `delta_fn` and advertise SolverCapabilities::incremental; the rest keep
-/// the ISolver default (from-scratch fallback).
+/// incremental companions pass the edge-flow re-solve (dinic_delta,
+/// push_relabel_delta) as `delta_fn` and the stateful one (dinic_resolve,
+/// push_relabel_resolve) as `resolve_fn`, and advertise
+/// SolverCapabilities::incremental; the rest keep the ISolver default
+/// (from-scratch fallback).
 class ClassicalSolver final : public ISolver {
  public:
   using Fn = flow::MaxFlowResult (*)(const graph::FlowNetwork&,
@@ -22,9 +24,16 @@ class ClassicalSolver final : public ISolver {
                                           const flow::CapacityDelta&,
                                           const flow::MaxFlowResult&,
                                           const util::CancelToken&);
+  using ResolveFn = flow::MaxFlowResult (*)(const graph::FlowNetwork&,
+                                            const flow::CapacityDelta&,
+                                            const flow::MaxFlowResult&,
+                                            flow::DeltaState&,
+                                            const util::CancelToken&);
 
-  ClassicalSolver(std::string name, Fn fn, DeltaFn delta_fn = nullptr)
-      : name_(std::move(name)), fn_(fn), delta_fn_(delta_fn) {}
+  ClassicalSolver(std::string name, Fn fn, DeltaFn delta_fn = nullptr,
+                  ResolveFn resolve_fn = nullptr)
+      : name_(std::move(name)), fn_(fn), delta_fn_(delta_fn),
+        resolve_fn_(resolve_fn) {}
 
   using ISolver::solve;
   using ISolver::solve_delta;
@@ -41,9 +50,12 @@ class ClassicalSolver final : public ISolver {
   }
   flow::MaxFlowResult solve_delta(
       const graph::FlowNetwork& net, const flow::CapacityDelta& delta,
-      const flow::MaxFlowResult& prior,
+      const flow::MaxFlowResult& prior, flow::DeltaState* state,
       const CancelToken& cancel) const override {
-    if (!delta_fn_) return ISolver::solve_delta(net, delta, prior, cancel);
+    if (!delta_fn_)
+      return ISolver::solve_delta(net, delta, prior, state, cancel);
+    if (state && resolve_fn_)
+      return resolve_fn_(net, delta, prior, *state, cancel);
     return delta_fn_(net, delta, prior, cancel);
   }
 
@@ -51,6 +63,7 @@ class ClassicalSolver final : public ISolver {
   std::string name_;
   Fn fn_;
   DeltaFn delta_fn_;
+  ResolveFn resolve_fn_;
 };
 
 class AnalogSolverAdapter final : public ISolver {
@@ -86,11 +99,13 @@ class AnalogSolverAdapter final : public ISolver {
 
   flow::MaxFlowResult solve_delta(
       const graph::FlowNetwork& net, const flow::CapacityDelta& delta,
-      const flow::MaxFlowResult& prior,
+      const flow::MaxFlowResult& prior, flow::DeltaState* state,
       const CancelToken& cancel) const override {
     if (!solver_.has_reuse_pool())
-      return ISolver::solve_delta(net, delta, prior, cancel);
-    (void)prior; // the analog carry-over state lives in the ReusePool
+      return ISolver::solve_delta(net, delta, prior, state, cancel);
+    // The analog carry-over state lives in the ReusePool.
+    (void)prior;
+    (void)state;
     return to_result(solver_.solve_delta(net, delta, cancel));
   }
 
@@ -128,12 +143,13 @@ void register_builtins(SolverRegistry& reg) {
   });
   reg.add("dinic", [] {
     return std::make_shared<ClassicalSolver>("dinic", &flow::dinic,
-                                             &flow::dinic_delta);
+                                             &flow::dinic_delta,
+                                             &flow::dinic_resolve);
   });
   reg.add("push_relabel", [] {
-    return std::make_shared<ClassicalSolver>("push_relabel",
-                                             &flow::push_relabel,
-                                             &flow::push_relabel_delta);
+    return std::make_shared<ClassicalSolver>(
+        "push_relabel", &flow::push_relabel, &flow::push_relabel_delta,
+        &flow::push_relabel_resolve);
   });
   // Default-configured sharded decomposition solver; callers needing a
   // specific shard count / region backend construct ShardedSolver directly.

@@ -356,9 +356,9 @@ void ServeSession::absorb_session(const BatchReport& report) {
 
 bool ServeSession::compose_delta_since(long long from_rev,
                                        flow::CapacityDelta& out) const {
-  // Reconfigures log contiguous revisions (structural_revision_+1 ..
-  // revision_), so walking forward from from_rev must see every step; a
-  // jump means the log was trimmed past the prior.
+  // Reconfigures log contiguous revisions (from the last load's revision
+  // + 1 to revision_), so walking forward from from_rev must see every
+  // step; a jump means the log was trimmed past the prior.
   long long expect = from_rev;
   for (const auto& [rev, edits] : edit_log_) {
     if (rev <= from_rev) continue;
@@ -474,12 +474,11 @@ void ServeSession::cmd_load(const std::vector<std::string>& t,
       load_batch(input.empty() ? spec : input);
   base_ = instances.front();
   current_ = base_;
-  // A load may change the topology: restart the reconfiguration stream.
-  // Old priors become structurally stale (revision < structural_revision_)
-  // rather than deleted, so the check is one comparison.
+  // A load may change the topology: restart the reconfiguration stream and
+  // drop the priors, with their kept residuals, of the previous instance.
   ++revision_;
-  structural_revision_ = revision_;
   edit_log_.clear();
+  priors_.clear();
   j.field("ok", true);
   j.field("instances_in_source", instances.size());
   j.field("vertices", current_->num_vertices());
@@ -491,45 +490,55 @@ void ServeSession::cmd_load(const std::vector<std::string>& t,
 void ServeSession::cmd_reconfigure(const std::vector<std::string>& t,
                                    util::JsonWriter& j) {
   require_instance();
-  // Every request form — including the --seed / --scale generators — is
-  // reduced to one CapacityDelta against the current instance, so the
-  // whole mutation surface feeds the delta solve path uniformly.
-  graph::FlowNetwork next = *current_;
-  bool mutated = false;
-
   const long long seed = tok_ll(t, "--seed", -1);
-  if (seed >= 0) {
-    // Deterministic capacity reprogramming of the *base* topology: same
-    // seed, same instance, independent of reconfiguration history.
-    next = capacity_variants(*base_, 2, static_cast<std::uint64_t>(seed))[1];
-    mutated = true;
-  }
-  if (!tok_string(t, "--scale", "").empty()) {
-    const double scale = tok_double(t, "--scale", 0.0);
-    if (!(scale > 0.0)) throw std::runtime_error("--scale must be positive");
-    next = next.transform_capacities([scale](double c) { return c * scale; });
-    mutated = true;
-  }
+  const bool scaled = !tok_string(t, "--scale", "").empty();
+  const double scale = tok_double(t, "--scale", 0.0);
+  if (scaled && !(scale > 0.0))
+    throw std::runtime_error("--scale must be positive");
   const std::string edits_spec = tok_string(t, "--edits", "");
-  if (!edits_spec.empty()) {
-    flow::CapacityDelta d;
-    d.edits = parse_edit_list(edits_spec);
-    d.apply(next); // validates indices and capacities
-    mutated = true;
-  }
+  flow::CapacityDelta delta;
+  if (!edits_spec.empty()) delta.edits = parse_edit_list(edits_spec);
   if (tok_ll(t, "--edge", -1) >= 0)
     // The single-edge alias was removed after its one-release deprecation
     // window; point old clients at the structured form.
     throw std::runtime_error(
         "--edge I --capacity C was removed; use --edits I:C[,I:C...]");
-  if (!mutated)
+  if (seed < 0 && !scaled && delta.empty())
     throw std::runtime_error(
         "reconfigure needs --edits I:C[,I:C...], --seed K, or --scale F");
 
-  // Normalized diff current -> next (old capacities recorded): what the
-  // log carries is independent of which request form produced it.
-  flow::CapacityDelta delta = flow::delta_between(*current_, next);
-  current_ = std::move(next);
+  // Every request form is reduced to one normalized CapacityDelta against
+  // the current instance (the edges whose capacity changed, old capacities
+  // recorded, in edge order), so the whole mutation surface feeds the delta
+  // solve path uniformly.
+  if (seed < 0 && !scaled) {
+    // --edits alone: edit the instance in place. apply() validates every
+    // edit first and records old capacities, so the parsed edits already
+    // are the delta; no copy or diff.
+    delta.apply(*current_);
+    std::vector<flow::CapacityEdit> changed = delta.composed();
+    std::erase_if(changed, [](const flow::CapacityEdit& e) {
+      return e.capacity == e.old_capacity;
+    });
+    std::sort(changed.begin(), changed.end(),
+              [](const flow::CapacityEdit& a, const flow::CapacityEdit& b) {
+                return a.edge < b.edge;
+              });
+    delta.edits = std::move(changed);
+  } else {
+    // --seed reprograms the *base* topology deterministically (same seed,
+    // same instance, independent of reconfiguration history) and --scale
+    // rescales every edge: build the next instance and diff it.
+    graph::FlowNetwork next =
+        seed >= 0
+            ? capacity_variants(*base_, 2, static_cast<std::uint64_t>(seed))[1]
+            : *current_;
+    if (scaled)
+      next = next.transform_capacities([scale](double c) { return c * scale; });
+    delta.apply(next); // validates indices and capacities
+    delta = flow::delta_between(*current_, next);
+    current_ = std::move(next);
+  }
   ++revision_;
   edit_log_.emplace_back(revision_, delta.edits);
   if (edit_log_.size() > kEditLogCap)
@@ -602,25 +611,23 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
   flow::CapacityDelta delta;
   const auto prior_it = priors_.find(name);
   if (!tok_flag(t, "--scratch") && prior_it != priors_.end() &&
-      prior_it->second.revision >= structural_revision_ &&
       b.solver->capabilities().incremental)
     delta_path = compose_delta_since(prior_it->second.revision, delta);
 
   // Either path runs on the calling session's thread, against the bank's
   // shared solver — so every session's solves feed (and draw from) the same
-  // per-pattern pool.
-  BatchReport report;
-  if (delta_path) {
-    report = report_of(
-        BatchEngine(bo).run_delta(net, delta, prior_it->second.result,
-                                  b.solver));
-  } else {
-    const std::vector<graph::FlowNetwork> one{net};
-    report = BatchEngine(bo).run(one, b.solver, 1);
-  }
+  // per-pattern pool. The delta path advances the prior's kept residual.
+  BatchReport report = report_of(
+      delta_path ? BatchEngine(bo).run_delta(net, delta,
+                                             prior_it->second.result,
+                                             b.solver, &prior_it->second.state)
+                 : BatchEngine(bo).run_one(net, b.solver));
   engine_.absorb(b, report);
   absorb_session(report);
-  const InstanceOutcome* out = &report.outcomes.front();
+  InstanceOutcome* out = &report.outcomes.front();
+  // A failed solve may have left its backend's residual half-advanced:
+  // never reuse it.
+  if (!out->ok) priors_.erase(name);
 
   // Degradation ladder, analog rung: a *retryable* analog failure
   // (divergence, convergence loss, injected fault) is retried once through
@@ -639,8 +646,7 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
     fbo.solver = fb_name;
     fbo.validate = bo.validate;
     fbo.cancel = token;
-    const std::vector<graph::FlowNetwork> one{net};
-    fb_report = BatchEngine(fbo).run(one, fb.solver, 1);
+    fb_report = report_of(BatchEngine(fbo).run_one(net, fb.solver));
     fb_report.metrics.fallback_analog_digital = 1;
     engine_.absorb(fb, fb_report);
     absorb_session(fb_report);
@@ -655,7 +661,6 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
     if (info.message.empty()) info.message = out->error;
     throw ServeRequestError(std::move(info));
   }
-  priors_[served_by] = Prior{out->result, revision_};
 
   j.field("ok", true);
   j.field("solver", served_by);
@@ -672,6 +677,14 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
     write_pool_json(j, *b.pool);
   }
   j.end_object();
+
+  // The result becomes its backend's prior, moved rather than copied. A
+  // scratch result (the fallback rung's included) comes with edge flows
+  // and no kept residual.
+  Prior& prior = priors_[served_by];
+  if (!delta_path || served_by != name) prior.state.clear();
+  prior.revision = revision_;
+  prior.result = std::move(out->result);
 }
 
 void ServeSession::cmd_batch(const std::vector<std::string>& t,

@@ -194,18 +194,21 @@ class ServeSession {
 
   // Reconfiguration-stream state behind the delta solve path. Every
   // capacity mutation bumps revision_ and logs its edits; load (a
-  // potential topology change) resets the log and invalidates priors by
-  // advancing structural_revision_. priors_ remembers, per backend name,
-  // the last successful solve result and the revision it solved — the
-  // prior threaded into ISolver::solve_delta. The log is bounded
-  // (kEditLogCap in the .cpp); trimmed history shows up as a composition
-  // gap and falls back to scratch.
+  // potential topology change) resets the log and drops every prior.
+  // priors_ remembers, per backend name, the last successful solve: the
+  // revision it solved, its result (with edge flows after a scratch solve,
+  // without after a delta solve) and the residual the backend keeps
+  // between delta solves (flow::DeltaState; empty after a scratch solve,
+  // so the next delta solve carries from the edge flows once). A failed
+  // solve drops its backend's prior. The log is bounded (kEditLogCap in
+  // the .cpp); trimmed history shows up as a composition gap and falls
+  // back to scratch.
   struct Prior {
-    flow::MaxFlowResult result;
     long long revision = -1;
+    flow::MaxFlowResult result;
+    flow::DeltaState state;
   };
   long long revision_ = 0;
-  long long structural_revision_ = 0;
   std::vector<std::pair<long long, std::vector<flow::CapacityEdit>>> edit_log_;
   std::map<std::string, Prior> priors_;
 

@@ -72,22 +72,31 @@ class ISolver {
   /// warm re-convergence for the analog substrate); the default rides the
   /// from-scratch solve() and counts a metrics.delta_fallbacks. Either way
   /// the returned flow value matches a from-scratch solve of `net`.
+  ///
+  /// `state` is null for callers that keep no state. A caller streaming
+  /// edits passes one flow::DeltaState per stream: the classical backends
+  /// then advance the residual it keeps (flow::dinic_resolve and
+  /// flow::push_relabel_resolve) and return no edge flows, which the state
+  /// extracts on request. The state is not thread-safe: one stream, one
+  /// thread. The analog backends and the default ignore it.
   virtual flow::MaxFlowResult solve_delta(const graph::FlowNetwork& net,
                                           const flow::CapacityDelta& delta,
                                           const flow::MaxFlowResult& prior,
+                                          flow::DeltaState* state,
                                           const CancelToken& cancel) const {
     (void)prior;
+    (void)state;
     flow::MaxFlowResult r = solve(net, cancel);
     r.metrics.delta_fallbacks += 1;
     r.metrics.edges_touched += delta.distinct_edges();
     return r;
   }
 
-  /// Convenience entry with a never-cancelling token.
+  /// Convenience entry: no state, and a never-cancelling token.
   flow::MaxFlowResult solve_delta(const graph::FlowNetwork& net,
                                   const flow::CapacityDelta& delta,
                                   const flow::MaxFlowResult& prior) const {
-    return solve_delta(net, delta, prior, CancelToken{});
+    return solve_delta(net, delta, prior, nullptr, CancelToken{});
   }
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -152,6 +153,113 @@ MaxFlowResult push_relabel_delta(const graph::FlowNetwork& net,
                                  const util::CancelToken& cancel) {
   return solve_delta_impl(net, delta, prior, /*use_push_relabel=*/true,
                           cancel);
+}
+
+DeltaState::DeltaState() = default;
+DeltaState::~DeltaState() = default;
+DeltaState::DeltaState(DeltaState&&) noexcept = default;
+DeltaState& DeltaState::operator=(DeltaState&&) noexcept = default;
+
+void DeltaState::clear() { residual_.reset(); }
+
+std::vector<double> DeltaState::edge_flows(
+    const graph::FlowNetwork& net) const {
+  return residual_ ? residual_->edge_flows(net) : std::vector<double>{};
+}
+
+bool DeltaState::apply_edits(const graph::FlowNetwork& net,
+                             const CapacityDelta& delta, long long& ops,
+                             const util::CancelToken& cancel, bool& maximal) {
+  detail::Residual& r = *residual_;
+  std::vector<double> im; // allocated at the first clamp
+  std::vector<int> pending;
+  bool raised = false;
+  for (const CapacityEdit& e : delta.composed()) {
+    if (e.edge < 0 || e.edge >= net.num_edges())
+      throw std::invalid_argument("DeltaState: edge index " +
+                                  std::to_string(e.edge) + " out of range");
+    const graph::Edge& edge = net.edge(e.edge);
+    const size_t fwd = 2 * static_cast<size_t>(e.edge);
+    const double flow = r.cap[fwd + 1];
+    const double kept = std::min(flow, edge.capacity);
+    raised = raised || edge.capacity > r.cap[fwd] + flow;
+    r.cap[fwd] = edge.capacity - kept;
+    r.cap[fwd + 1] = kept;
+    if (kept < flow) {
+      if (im.empty()) im.assign(static_cast<size_t>(r.n), 0.0);
+      im[static_cast<size_t>(edge.from)] += flow - kept; // tail keeps it
+      im[static_cast<size_t>(edge.to)] -= flow - kept;   // head misses it
+      pending.push_back(edge.from);
+      pending.push_back(edge.to);
+    }
+  }
+  // Without a clamp the kept flow is still a feasible flow: no repair, and
+  // no capacity-scale scan. If no capacity went up either, the maximum
+  // cannot have grown, so the kept flow is still a maximum flow.
+  maximal = pending.empty() && !raised;
+  if (pending.empty()) return true;
+  return detail::ConservationRepair(r, net.source(), net.sink(),
+                                    std::move(im), std::move(pending))
+      .run(ops, cancel);
+}
+
+MaxFlowResult DeltaState::resolve(const graph::FlowNetwork& net,
+                                  const CapacityDelta& delta,
+                                  const MaxFlowResult& prior,
+                                  bool use_push_relabel,
+                                  const util::CancelToken& cancel) {
+  const int s = net.source(), t = net.sink();
+  MaxFlowResult result;
+  bool carried = false;
+  bool maximal = false;
+  try {
+    cancel.check();
+    if (residual_ && (residual_->n != net.num_vertices() ||
+                      residual_->cap.size() !=
+                          2 * static_cast<size_t>(net.num_edges())))
+      residual_.reset();
+    if (residual_) {
+      carried = apply_edits(net, delta, result.operations, cancel, maximal);
+    } else if (delta_prior_usable(net, prior)) {
+      residual_ = std::make_unique<detail::Residual>(net, prior.edge_flow);
+      carried = detail::repair_conservation(*residual_, s, t,
+                                            result.operations, cancel);
+    }
+    if (!carried) {
+      residual_ = std::make_unique<detail::Residual>(net);
+      result.operations = 0;
+    }
+    if (maximal) {
+      // Edits that only lowered unclamped capacities: nothing to augment.
+    } else if (use_push_relabel) {
+      result.operations += detail::push_relabel_augment(*residual_, s, t,
+                                                        cancel, &result.metrics);
+    } else {
+      detail::dinic_augment(*residual_, s, t, result.operations, cancel);
+    }
+    result.flow_value = residual_->flow_value_at(net, s);
+  } catch (...) {
+    residual_.reset(); // may hold a half-repaired pseudo-flow
+    throw;
+  }
+  (carried ? result.metrics.delta_solves : result.metrics.delta_fallbacks) = 1;
+  result.metrics.edges_touched = delta.distinct_edges();
+  return result;
+}
+
+MaxFlowResult dinic_resolve(const graph::FlowNetwork& net,
+                            const CapacityDelta& delta,
+                            const MaxFlowResult& prior, DeltaState& state,
+                            const util::CancelToken& cancel) {
+  return state.resolve(net, delta, prior, /*use_push_relabel=*/false, cancel);
+}
+
+MaxFlowResult push_relabel_resolve(const graph::FlowNetwork& net,
+                                   const CapacityDelta& delta,
+                                   const MaxFlowResult& prior,
+                                   DeltaState& state,
+                                   const util::CancelToken& cancel) {
+  return state.resolve(net, delta, prior, /*use_push_relabel=*/true, cancel);
 }
 
 } // namespace aflow::flow

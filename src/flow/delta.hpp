@@ -27,8 +27,15 @@
 // The delta path never trades correctness for speed: a prior of the wrong
 // shape (or a repair that fails to make progress numerically) falls back to
 // the from-scratch solver, counted in SolveMetrics::delta_fallbacks.
+//
+// A reconfiguration stream need not rebuild the residual at every step:
+// the stateful re-solves (dinic_resolve, push_relabel_resolve) keep the
+// residual of the last maximum flow in a DeltaState, write each step's
+// edits into it, repair only where an edit clamped a flow, and re-augment.
+// They carry once, from the prior's edge flows, when the state is empty.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "flow/maxflow.hpp"
@@ -109,5 +116,86 @@ MaxFlowResult push_relabel_delta(const graph::FlowNetwork& net,
                                  const CapacityDelta& delta,
                                  const MaxFlowResult& prior,
                                  const util::CancelToken& cancel = {});
+
+namespace detail {
+struct Residual;
+} // namespace detail
+
+class DeltaState;
+
+/// Stateful re-solves: the edge-flow re-solves above, advancing the
+/// residual kept in `state` instead of rebuilding one.
+///
+/// - Empty state (or one whose shape does not match `net`): carry from
+///   `prior.edge_flow` into the state and repair with the full scan; an
+///   unusable prior, or a repair that cannot progress, solves from zero
+///   into the state, counted in metrics.delta_fallbacks.
+/// - Filled state: `delta` must name every edge whose capacity changed
+///   since the state's last re-solve (`prior` is not read). Each composed
+///   edit writes the edge's new capacity around its kept flow, clamping
+///   the flow to the capacity; a clamp leaves its excess at the edge's
+///   tail and its deficit at its head, and only those vertices are
+///   repaired. The backend's augment follows, unless every edit lowered a
+///   capacity without clamping its flow: the maximum cannot have grown,
+///   so the kept flow is still a maximum flow.
+///
+/// The result carries the value, operations and metrics (delta_solves or
+/// delta_fallbacks, edges_touched) but no edge_flow: DeltaState::edge_flows
+/// extracts them for a caller that asks. A re-solve that throws (a tripped
+/// `cancel`, a bad edge index) empties the state, whose residual may then
+/// hold a half-repaired pseudo-flow.
+MaxFlowResult dinic_resolve(const graph::FlowNetwork& net,
+                            const CapacityDelta& delta,
+                            const MaxFlowResult& prior, DeltaState& state,
+                            const util::CancelToken& cancel = {});
+MaxFlowResult push_relabel_resolve(const graph::FlowNetwork& net,
+                                   const CapacityDelta& delta,
+                                   const MaxFlowResult& prior,
+                                   DeltaState& state,
+                                   const util::CancelToken& cancel = {});
+
+/// The residual that a reconfiguration stream keeps between stateful
+/// re-solves: the maximum flow of the network the last re-solve solved.
+/// Move-only, and empty until the first re-solve fills it. A state belongs
+/// to one topology and one backend's stream of edits; clear it when either
+/// changes.
+class DeltaState {
+ public:
+  DeltaState();
+  ~DeltaState();
+  DeltaState(DeltaState&&) noexcept;
+  DeltaState& operator=(DeltaState&&) noexcept;
+
+  bool empty() const { return !residual_; }
+  void clear();
+
+  /// Per-edge flows of the kept maximum flow of `net`, the network of the
+  /// last re-solve (O(m)); empty when the state is.
+  std::vector<double> edge_flows(const graph::FlowNetwork& net) const;
+
+ private:
+  friend MaxFlowResult dinic_resolve(const graph::FlowNetwork&,
+                                     const CapacityDelta&,
+                                     const MaxFlowResult&, DeltaState&,
+                                     const util::CancelToken&);
+  friend MaxFlowResult push_relabel_resolve(const graph::FlowNetwork&,
+                                            const CapacityDelta&,
+                                            const MaxFlowResult&, DeltaState&,
+                                            const util::CancelToken&);
+
+  MaxFlowResult resolve(const graph::FlowNetwork& net,
+                        const CapacityDelta& delta,
+                        const MaxFlowResult& prior, bool use_push_relabel,
+                        const util::CancelToken& cancel);
+  /// Writes the composed edits into the kept residual and repairs the
+  /// clamped edges' endpoints; false when the repair cannot progress.
+  /// `maximal` is set when no edit raised a capacity or clamped a flow:
+  /// the kept flow is then still a maximum flow.
+  bool apply_edits(const graph::FlowNetwork& net, const CapacityDelta& delta,
+                   long long& ops, const util::CancelToken& cancel,
+                   bool& maximal);
+
+  std::unique_ptr<detail::Residual> residual_;
+};
 
 } // namespace aflow::flow

@@ -25,7 +25,10 @@ FlowNetwork::FlowNetwork(int num_vertices, int source, int sink,
   if (edges.size() > static_cast<size_t>(std::numeric_limits<int>::max()))
     throw std::length_error(
         "FlowNetwork: edge count exceeds the int edge index");
-  for (const Edge& e : edges) check_edge(e);
+  for (const Edge& e : edges) {
+    check_edge(e);
+    max_capacity_ = std::max(max_capacity_, e.capacity);
+  }
   edges_ = std::move(edges);
 }
 
@@ -53,6 +56,7 @@ int FlowNetwork::add_edge(int from, int to, double capacity) {
         "FlowNetwork::add_edge: edge count at the int index limit");
   const int id = static_cast<int>(edges_.size());
   edges_.push_back(edge);
+  max_capacity_ = std::max(max_capacity_, capacity);
   return id;
 }
 
@@ -60,13 +64,17 @@ void FlowNetwork::set_capacity(int e, double capacity) {
   if (e < 0 || e >= num_edges())
     throw std::invalid_argument("FlowNetwork::set_capacity: edge out of range");
   check_edge({edges_[e].from, edges_[e].to, capacity});
+  const double old = edges_[e].capacity;
   edges_[e].capacity = capacity;
-}
-
-double FlowNetwork::max_capacity() const {
-  double c = 0.0;
-  for (const Edge& e : edges_) c = std::max(c, e.capacity);
-  return c;
+  if (capacity >= max_capacity_) {
+    max_capacity_ = capacity;
+  } else if (old == max_capacity_) {
+    // The edge that held the maximum went down: only a scan finds the new
+    // one (another edge may tie it).
+    max_capacity_ = 0.0;
+    for (const Edge& x : edges_)
+      max_capacity_ = std::max(max_capacity_, x.capacity);
+  }
 }
 
 void FlowNetwork::validate() const {

@@ -51,7 +51,10 @@ class FlowNetwork {
   const Edge& edge(int e) const { return edges_[e]; }
   std::span<const Edge> edges() const { return edges_; }
 
-  double max_capacity() const;
+  /// Largest edge capacity (0 without edges). Kept current by every
+  /// mutator, so reading it is O(1); set_capacity rescans the edge list
+  /// only when it lowers the edge that held the maximum.
+  double max_capacity() const { return max_capacity_; }
 
   /// Throws std::invalid_argument when the instance is malformed
   /// (bad source/sink, or an edge that add_edge would refuse).
@@ -74,6 +77,7 @@ class FlowNetwork {
   int source_ = 0;
   int sink_ = 0;
   std::vector<Edge> edges_;
+  double max_capacity_ = 0.0;
 };
 
 /// Incidence CSR of a network: edge e appears as arc 2e in its tail's list

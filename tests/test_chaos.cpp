@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -268,6 +269,38 @@ TEST(DegradationLadder, InjectedSolveFaultIsStructuredAndTransient) {
   const std::string r2 = engine.handle("solve --solver dinic");
   EXPECT_TRUE(contains(r2, "\"ok\":true")) << r2;
   EXPECT_TRUE(contains(r2, "\"flow\":90")) << r2;
+}
+
+TEST(DegradationLadder, DeltaSolveFiresTheBatchSolveFaultSite) {
+  // The batch.solve site covers every solve the bank runs, the delta path
+  // included: the first solve passes the site, the delta solve after a
+  // reconfigure draws the fault, and the retry answers the scratch value
+  // (the failed solve dropped the backend's prior and its kept residual).
+  const std::string spec = "grid:side=5,seed=1";
+  graph::FlowNetwork net = core::load_batch(spec).front();
+  net.set_capacity(0, 0.5);
+  net.set_capacity(3, 17.25);
+  const double scratch = flow::dinic(net).flow_value;
+
+  core::ServeEngine engine;
+  ASSERT_TRUE(contains(engine.handle("load --spec " + spec), "\"ok\":true"));
+  const FaultGuard guard("batch.solve:throw:after=1");
+  const std::string first = engine.handle("solve --solver dinic");
+  ASSERT_TRUE(contains(first, "\"ok\":true")) << first;
+  ASSERT_TRUE(contains(engine.handle("reconfigure --edits 0:0.5,3:17.25"),
+                       "\"ok\":true"));
+  const std::string delta = engine.handle("solve --solver dinic");
+  EXPECT_TRUE(contains(delta, "\"ok\":false")) << delta;
+  EXPECT_TRUE(contains(delta, "\"code\":\"fault_injected\"")) << delta;
+
+  const std::string retry = engine.handle("solve --solver dinic");
+  ASSERT_TRUE(contains(retry, "\"ok\":true")) << retry;
+  EXPECT_TRUE(contains(retry, "\"delta\":false")) << retry;
+  const size_t at = retry.find("\"flow\":");
+  ASSERT_NE(at, std::string::npos) << retry;
+  EXPECT_NEAR(std::strtod(retry.c_str() + at + 7, nullptr), scratch,
+              1e-9 * scratch)
+      << retry;
 }
 
 TEST(DegradationLadder, AnalogDivergenceFallsBackToDigitalBank) {

@@ -6,8 +6,11 @@
 // delta path on or off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "flow/delta.hpp"
 #include "flow/maxflow.hpp"
 #include "graph/generators.hpp"
+#include "util/cancel.hpp"
 
 namespace core = aflow::core;
 namespace flow = aflow::flow;
@@ -41,6 +45,17 @@ const std::vector<std::pair<const char*, DeltaFn>> kDeltaSolvers = {
         const flow::MaxFlowResult& p) {
        return flow::push_relabel_delta(n, d, p);
      }},
+};
+
+using ResolveFn = flow::MaxFlowResult (*)(const graph::FlowNetwork&,
+                                          const flow::CapacityDelta&,
+                                          const flow::MaxFlowResult&,
+                                          flow::DeltaState&,
+                                          const aflow::util::CancelToken&);
+
+const std::vector<std::pair<const char*, ResolveFn>> kResolveSolvers = {
+    {"dinic_resolve", &flow::dinic_resolve},
+    {"push_relabel_resolve", &flow::push_relabel_resolve},
 };
 
 /// Asserts `r` is a maximum flow of `net`: feasible, and value-identical
@@ -68,6 +83,33 @@ flow::CapacityDelta edit_edges(graph::FlowNetwork& net,
   for (const auto& [e, c] : edits) d.edits.push_back({e, c, -1.0});
   d.apply(net);
   return d;
+}
+
+/// `I:C[,I:C...]` for `reconfigure --edits`, capacities at full precision.
+std::string edits_text(const std::vector<std::pair<int, double>>& edits) {
+  std::string out;
+  char buf[64];
+  for (const auto& [e, c] : edits) {
+    std::snprintf(buf, sizeof buf, "%s%d:%.17g", out.empty() ? "" : ",", e, c);
+    out += buf;
+  }
+  return out;
+}
+
+/// One step of a benchmark-like edit stream: `k` edits, each scaling a
+/// random edge's *base* capacity by 1.15 or 0.85 (non-integral results).
+std::vector<std::pair<int, double>> scaled_edits(const graph::FlowNetwork& base,
+                                                 int k, std::mt19937_64& rng) {
+  std::vector<std::pair<int, double>> edits;
+  for (int i = 0; i < k; ++i) {
+    const int e = static_cast<int>(rng() % base.num_edges());
+    edits.push_back({e, base.edge(e).capacity * ((rng() & 1) ? 1.15 : 0.85)});
+  }
+  return edits;
+}
+
+bool agree(double a, double b) {
+  return std::abs(a - b) <= 1e-9 * std::max(1.0, std::abs(b));
 }
 
 /// Minimal extractors for aflow-serve-v1 single-line JSON responses.
@@ -430,6 +472,148 @@ TEST(DeltaSolve, UnusablePriorFallsBackToScratch) {
   }
 }
 
+TEST(DeltaSolve, ResolveStreamAdvancesTheKeptResidual) {
+  // The stateful re-solves on a chained grid stream: the first step carries
+  // from the scratch solve's edge flows, every later step writes its edits
+  // into the kept residual. Every third step also halves a min-cut edge,
+  // which every maximum flow saturates, so the kept flow is clamped and
+  // the seeded repair runs. Each step's value matches the edge-flow
+  // re-solve's and a scratch solve's; the kept flow passes check_flow.
+  const graph::FlowNetwork base =
+      core::load_batch("grid:side=24,seed=5").front();
+  const std::vector<int> cut =
+      flow::min_cut_from_flow(base, flow::dinic(base)).cut_edges;
+  ASSERT_GE(cut.size(), 3u);
+  for (const auto& [name, resolve] : kResolveSolvers) {
+    std::mt19937_64 rng(5);
+    graph::FlowNetwork current = base;
+    flow::MaxFlowResult prior = flow::dinic(current);
+    flow::MaxFlowResult edge_prior = prior;
+    flow::DeltaState state;
+    EXPECT_TRUE(state.empty());
+    for (int step = 0; step < 16; ++step) {
+      std::vector<std::pair<int, double>> edits =
+          scaled_edits(base, step % 4 == 3 ? 10 : 1, rng);
+      if (step % 3 == 0) {
+        const int e = cut[static_cast<size_t>(step / 3) % cut.size()];
+        edits.push_back({e, 0.5 * current.edge(e).capacity});
+      }
+      const flow::CapacityDelta d = edit_edges(current, edits);
+      flow::MaxFlowResult r = resolve(current, d, prior, state, {});
+      const std::string what = std::string(name) + " step " +
+                               std::to_string(step);
+      EXPECT_TRUE(r.edge_flow.empty()) << what;
+      EXPECT_FALSE(state.empty()) << what;
+      EXPECT_EQ(r.metrics.delta_solves, 1) << what;
+      EXPECT_EQ(r.metrics.delta_fallbacks, 0) << what;
+      EXPECT_EQ(r.metrics.edges_touched, d.distinct_edges()) << what;
+      edge_prior = flow::dinic_delta(current, d, edge_prior);
+      EXPECT_TRUE(agree(r.flow_value, edge_prior.flow_value)) << what;
+      r.edge_flow = state.edge_flows(current);
+      expect_max_flow(current, r, what.c_str());
+      prior = std::move(r);
+    }
+  }
+}
+
+TEST(DeltaSolve, ResolveWithoutUsablePriorSolvesFromZeroIntoTheState) {
+  // An empty state and an unusable prior (no edge flows, as after a delta
+  // solve) solve from zero into the state, counted as a fallback; a state
+  // whose shape does not match the network is treated as empty.
+  const graph::FlowNetwork g = graph::layered_random(3, 4, 2, 16, 11);
+  const graph::FlowNetwork other = graph::layered_random(4, 5, 2, 16, 12);
+  for (const auto& [name, resolve] : kResolveSolvers) {
+    flow::DeltaState state;
+    graph::FlowNetwork edited = g;
+    const flow::CapacityDelta d = edit_edges(edited, {{0, 2.0}});
+    const flow::MaxFlowResult r = resolve(edited, d, {}, state, {});
+    EXPECT_EQ(r.metrics.delta_solves, 0) << name;
+    EXPECT_EQ(r.metrics.delta_fallbacks, 1) << name;
+    EXPECT_TRUE(agree(r.flow_value, flow::dinic(edited).flow_value)) << name;
+    ASSERT_FALSE(state.empty()) << name;
+
+    // The filled state follows the next edit without a prior.
+    const flow::CapacityDelta d2 = edit_edges(edited, {{1, 0.5}, {2, 9.0}});
+    const flow::MaxFlowResult r2 = resolve(edited, d2, {}, state, {});
+    EXPECT_EQ(r2.metrics.delta_solves, 1) << name;
+    EXPECT_TRUE(agree(r2.flow_value, flow::dinic(edited).flow_value)) << name;
+
+    // A different topology: the kept residual is dropped, and the usable
+    // prior carries.
+    const flow::MaxFlowResult r3 =
+        resolve(other, {}, flow::dinic(other), state, {});
+    EXPECT_EQ(r3.metrics.delta_solves, 1) << name;
+    EXPECT_TRUE(agree(r3.flow_value, flow::dinic(other).flow_value)) << name;
+  }
+}
+
+TEST(DeltaSolve, ResolveSkipsTheAugmentOnlyWhenTheMaximumCannotGrow) {
+  // 0->1->3 and 0->2->3 carry 10 and 5; the side edge 1->2 carries
+  // nothing. Lowering it without clamping a flow cannot raise the maximum:
+  // the kept flow answers with no work. A clamp or a raise must augment.
+  graph::FlowNetwork g(4, 0, 3);
+  g.add_edge(0, 1, 10.0);
+  g.add_edge(1, 3, 10.0);
+  g.add_edge(0, 2, 5.0);
+  g.add_edge(2, 3, 5.0);
+  g.add_edge(1, 2, 6.0);
+  for (const auto& [name, resolve] : kResolveSolvers) {
+    graph::FlowNetwork net = g;
+    flow::DeltaState state;
+    const flow::MaxFlowResult prior = flow::dinic(net);
+    ASSERT_DOUBLE_EQ(prior.flow_value, 15.0);
+    ASSERT_DOUBLE_EQ(prior.edge_flow[4], 0.0);
+    resolve(net, {}, prior, state, {});
+
+    const flow::MaxFlowResult lowered =
+        resolve(net, edit_edges(net, {{4, 2.5}}), {}, state, {});
+    EXPECT_DOUBLE_EQ(lowered.flow_value, 15.0) << name;
+    EXPECT_EQ(lowered.operations, 0) << name;
+    EXPECT_EQ(lowered.metrics.delta_solves, 1) << name;
+
+    const flow::MaxFlowResult clamped =
+        resolve(net, edit_edges(net, {{0, 3.0}}), {}, state, {});
+    EXPECT_DOUBLE_EQ(clamped.flow_value, 8.0) << name;
+    EXPECT_GT(clamped.operations, 0) << name;
+
+    const flow::MaxFlowResult raised =
+        resolve(net, edit_edges(net, {{0, 9.0}, {4, 1.0}}), {}, state, {});
+    EXPECT_DOUBLE_EQ(raised.flow_value, 14.0) << name;
+    flow::MaxFlowResult check = raised;
+    check.edge_flow = state.edge_flows(net);
+    expect_max_flow(net, check, name);
+  }
+}
+
+TEST(DeltaSolve, CancelledResolveEmptiesTheStateAndTheNextMatchesScratch) {
+  // A re-solve that throws may leave a half-repaired pseudo-flow in the
+  // kept residual, so it empties the state; the same state then carries
+  // from the prior again and answers the scratch value.
+  const graph::FlowNetwork base =
+      core::load_batch("grid:side=12,seed=2").front();
+  for (const auto& [name, resolve] : kResolveSolvers) {
+    graph::FlowNetwork net = base;
+    const flow::MaxFlowResult prior = flow::dinic(net);
+    flow::DeltaState state;
+    const flow::CapacityDelta d1 = edit_edges(net, {{3, 1.5}, {7, 40.0}});
+    resolve(net, d1, prior, state, {});
+    ASSERT_FALSE(state.empty()) << name;
+
+    const flow::CapacityDelta d2 = edit_edges(net, {{5, 0.25}});
+    const aflow::util::CancelToken cancelled =
+        aflow::util::CancelToken::cancellable();
+    cancelled.cancel();
+    EXPECT_THROW(resolve(net, d2, prior, state, cancelled),
+                 aflow::util::CancelledError)
+        << name;
+    EXPECT_TRUE(state.empty()) << name;
+
+    const flow::MaxFlowResult r = resolve(net, d2, prior, state, {});
+    EXPECT_EQ(r.metrics.delta_solves, 1) << name;
+    EXPECT_TRUE(agree(r.flow_value, flow::dinic(net).flow_value)) << name;
+  }
+}
+
 TEST(DeltaSolve, RegistryIncrementalBackendsMatchScratch) {
   // Every backend advertising SolverCapabilities::incremental must return
   // a scratch-identical flow value through solve_delta (exact backends to
@@ -766,4 +950,195 @@ TEST(ServeDelta, SourceAdjacentReconfigureStreamMatchesScratchReplay) {
   ASSERT_EQ(with_delta.size(), with_scratch.size());
   for (size_t k = 0; k < with_delta.size(); ++k)
     EXPECT_NEAR(with_delta[k], with_scratch[k], 1e-6) << "solve " << k;
+}
+
+TEST(ServeDelta, LiveResidualBatteryMatchesEdmondsKarp) {
+  // One session streams 1- and 10-edit batches, some cutting min-cut edges
+  // below the flow they carry, through dinic and push_relabel alternately,
+  // so each backend's kept residual composes several revisions per solve.
+  // The stream also takes a --check delta solve, a --scratch solve, a
+  // refused reconfigure, and a --seed and a --scale request. Every answer
+  // matches edmonds_karp on a locally mirrored network, and every solve
+  // with a prior rides the delta path.
+  const std::string spec = "grid:side=30,seed=4";
+  const graph::FlowNetwork base = core::load_batch(spec).front();
+  graph::FlowNetwork mirror = base;
+  const std::vector<int> cut =
+      flow::min_cut_from_flow(base, flow::dinic(base)).cut_edges;
+  ASSERT_GE(cut.size(), 4u);
+
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  ASSERT_TRUE(json_bool(engine.handle("load --spec " + spec), "ok"));
+
+  std::map<std::string, bool> has_prior;
+  int delta_solves = 0;
+  const auto solve = [&](const std::string& backend, const std::string& flags,
+                         const std::string& what) {
+    const std::string r =
+        engine.handle("solve --solver " + backend + flags);
+    ASSERT_TRUE(json_bool(r, "ok")) << what << ": " << r;
+    const double exact = flow::edmonds_karp(mirror).flow_value;
+    EXPECT_TRUE(agree(json_double(r, "flow"), exact))
+        << what << ": " << r << " vs " << exact;
+    const bool want_delta =
+        has_prior[backend] && flags.find("--scratch") == std::string::npos;
+    EXPECT_EQ(json_bool(r, "delta"), want_delta) << what << ": " << r;
+    delta_solves += want_delta ? 1 : 0;
+    has_prior[backend] = true;
+  };
+  const auto reconfigure = [&](const std::vector<std::pair<int, double>>& e) {
+    const std::string r = engine.handle("reconfigure --edits " + edits_text(e));
+    ASSERT_TRUE(json_bool(r, "ok")) << r;
+    edit_edges(mirror, e);
+  };
+
+  std::mt19937_64 rng(4);
+  const char* backends[] = {"dinic", "push_relabel"};
+  for (int step = 0; step < 24; ++step) {
+    const std::string what = "step " + std::to_string(step);
+    std::vector<std::pair<int, double>> edits =
+        scaled_edits(base, step % 4 == 3 ? 10 : 1, rng);
+    if (step % 3 == 1) {
+      const int e = cut[static_cast<size_t>(step / 3) % cut.size()];
+      edits.push_back({e, 0.4 * mirror.edge(e).capacity});
+    }
+    reconfigure(edits);
+    if (step % 5 == 4) reconfigure(scaled_edits(base, 3, rng));
+    if (step == 8) {
+      const std::string r = engine.handle("reconfigure --edits 0:5.5,999999:1");
+      EXPECT_FALSE(json_bool(r, "ok")) << r;
+    }
+    if (step == 15) {
+      ASSERT_TRUE(json_bool(engine.handle("reconfigure --seed 9"), "ok"));
+      mirror = core::capacity_variants(base, 2, 9)[1];
+    }
+    if (step == 19) {
+      ASSERT_TRUE(json_bool(engine.handle("reconfigure --scale 1.5"), "ok"));
+      mirror = mirror.transform_capacities([](double c) { return c * 1.5; });
+    }
+    const std::string flags = step == 6    ? " --check"
+                              : step == 10 ? " --scratch"
+                                           : "";
+    solve(backends[step % 2], flags, what);
+  }
+  EXPECT_GE(delta_solves, 20);
+  const std::string stats = engine.handle("stats");
+  EXPECT_NE(stats.find("\"delta_fallbacks\":0"), std::string::npos) << stats;
+}
+
+TEST(ServeDelta, LongNonIntegralStreamDoesNotDrift) {
+  // 600 steps of non-integral +-15% edits, each solved through both
+  // backends' kept residuals, which are never rebuilt from edge flows. The
+  // stream ends with --check solves: the kept flows must still be feasible
+  // maximum flows, not drifted by 600 steps of float updates.
+  const std::string spec = "grid:side=20,seed=6";
+  const graph::FlowNetwork base = core::load_batch(spec).front();
+  graph::FlowNetwork mirror = base;
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  ASSERT_TRUE(json_bool(engine.handle("load --spec " + spec), "ok"));
+  for (const char* backend : {"dinic", "push_relabel"})
+    ASSERT_TRUE(json_bool(
+        engine.handle(std::string("solve --solver ") + backend), "ok"));
+
+  std::mt19937_64 rng(6);
+  for (int step = 0; step < 600; ++step) {
+    const std::vector<std::pair<int, double>> edits =
+        scaled_edits(base, step % 4 == 3 ? 10 : 1, rng);
+    ASSERT_TRUE(json_bool(
+        engine.handle("reconfigure --edits " + edits_text(edits)), "ok"));
+    edit_edges(mirror, edits);
+    const bool last = step == 599;
+    const double exact = step % 50 == 49 ? flow::edmonds_karp(mirror).flow_value
+                                         : -1.0;
+    for (const char* backend : {"dinic", "push_relabel"}) {
+      const std::string r = engine.handle(std::string("solve --solver ") +
+                                          backend + (last ? " --check" : ""));
+      ASSERT_TRUE(json_bool(r, "ok")) << "step " << step << ": " << r;
+      ASSERT_TRUE(json_bool(r, "delta")) << "step " << step << ": " << r;
+      if (exact >= 0.0) {
+        EXPECT_TRUE(agree(json_double(r, "flow"), exact))
+            << "step " << step << ": " << r << " vs " << exact;
+      }
+    }
+  }
+  const std::string stats = engine.handle("stats");
+  EXPECT_NE(stats.find("\"delta_fallbacks\":0"), std::string::npos) << stats;
+}
+
+TEST(ServeDelta, ReconfigureEditsAppliedCountsOnlyChangedEdges) {
+  // edits_applied counts the edges whose capacity a request changed (first
+  // old capacity against last new one), whatever the request repeats.
+  const std::string spec = "grid:side=4,seed=1";
+  const graph::FlowNetwork net = core::load_batch(spec).front();
+  const double c0 = net.edge(0).capacity;
+  const double c1 = net.edge(1).capacity;
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  ASSERT_TRUE(json_bool(engine.handle("load --spec " + spec), "ok"));
+
+  const std::string same = engine.handle("reconfigure --edits " +
+                                         edits_text({{0, c0}}));
+  ASSERT_TRUE(json_bool(same, "ok")) << same;
+  EXPECT_EQ(json_double(same, "edits_applied"), 0.0) << same;
+
+  const std::string back = engine.handle("reconfigure --edits " +
+                                         edits_text({{0, 5.0}, {0, c0}}));
+  ASSERT_TRUE(json_bool(back, "ok")) << back;
+  EXPECT_EQ(json_double(back, "edits_applied"), 0.0) << back;
+  EXPECT_EQ(json_double(back, "revision"), json_double(same, "revision") + 1);
+
+  const std::string two = engine.handle(
+      "reconfigure --edits " + edits_text({{1, c1 + 0.25}, {0, c0 + 0.5}}));
+  ASSERT_TRUE(json_bool(two, "ok")) << two;
+  EXPECT_EQ(json_double(two, "edits_applied"), 2.0) << two;
+}
+
+TEST(ServeDelta, ReconfigureMaxCapacityTracksAMirroredNetwork) {
+  // A random --edits stream that makes one edge the unique maximum, lowers
+  // it below the others, raises another past it and restores it: the
+  // response's max_capacity always equals a scan of a mirrored network.
+  const std::string spec = "grid:side=5,seed=3";
+  graph::FlowNetwork mirror = core::load_batch(spec).front();
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  ASSERT_TRUE(json_bool(engine.handle("load --spec " + spec), "ok"));
+  const auto scan = [&] {
+    double c = 0.0;
+    for (const graph::Edge& e : mirror.edges()) c = std::max(c, e.capacity);
+    return c;
+  };
+
+  std::mt19937_64 rng(3);
+  const int m = mirror.num_edges();
+  const double top = scan();
+  const int a = 4, b = 9;
+  const std::vector<std::vector<std::pair<int, double>>> scripted = {
+      {{a, top + 10.0}},             // a holds the unique maximum
+      {{a, 0.5}},                    // ...and drops below every other edge
+      {{a, top + 10.0}, {b, 1.0}},   // back on top
+      {{b, top + 20.5}},             // b raised past it
+      {{b, 1.0}, {a, top + 10.0}},   // b lowered, a restored
+      {{a, mirror.edge(a).capacity}} // a restored to its loaded capacity
+  };
+  for (int step = 0; step < 40; ++step) {
+    std::vector<std::pair<int, double>> edits;
+    if (step % 5 == 0 && step / 5 < static_cast<int>(scripted.size())) {
+      edits = scripted[static_cast<size_t>(step / 5)];
+    } else {
+      for (int k = 0; k < 3; ++k)
+        edits.push_back({static_cast<int>(rng() % m),
+                         0.5 + static_cast<double>(rng() % 4000) / 100.0});
+    }
+    const std::string r =
+        engine.handle("reconfigure --edits " + edits_text(edits));
+    ASSERT_TRUE(json_bool(r, "ok")) << r;
+    edit_edges(mirror, edits);
+    EXPECT_EQ(json_double(r, "max_capacity"), scan()) << "step " << step;
+  }
 }

@@ -1,6 +1,7 @@
 // Flow networks, generators, DIMACS I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -101,6 +102,49 @@ TEST(FlowNetwork, RejectsNonFiniteCapacities) {
   big.validate();
   EXPECT_THROW(big.transform_capacities([](double c) { return c * 10.0; }),
                std::invalid_argument);
+}
+
+TEST(FlowNetwork, MaxCapacityIsKeptByEveryMutator) {
+  // max_capacity() is kept current rather than scanned: every mutator
+  // must leave it equal to a scan of the edge list.
+  const auto scan = [](const graph::FlowNetwork& net) {
+    double c = 0.0;
+    for (const graph::Edge& e : net.edges()) c = std::max(c, e.capacity);
+    return c;
+  };
+  graph::FlowNetwork net(4, 0, 3);
+  EXPECT_EQ(net.max_capacity(), 0.0);
+  net.add_edge(0, 1, 2.0);
+  net.add_edge(1, 2, 7.5); // the unique maximum
+  net.add_edge(2, 3, 3.0);
+  EXPECT_EQ(net.max_capacity(), 7.5);
+
+  net.set_capacity(0, 1.0); // lowers an edge below the maximum
+  EXPECT_EQ(net.max_capacity(), 7.5);
+  net.set_capacity(1, 0.5); // lowers the edge that held it: rescan
+  EXPECT_EQ(net.max_capacity(), 3.0);
+  EXPECT_EQ(net.max_capacity(), scan(net));
+  net.set_capacity(0, 9.0); // raises another edge past it
+  EXPECT_EQ(net.max_capacity(), 9.0);
+  net.set_capacity(2, 9.0); // a tie...
+  net.set_capacity(0, 4.0); // ...survives lowering one of the two
+  EXPECT_EQ(net.max_capacity(), 9.0);
+  net.set_capacity(2, 9.0); // an unchanged capacity
+  EXPECT_EQ(net.max_capacity(), scan(net));
+  EXPECT_THROW(net.set_capacity(2, -1.0), std::invalid_argument);
+  EXPECT_EQ(net.max_capacity(), 9.0); // a refused edit changes nothing
+
+  const graph::FlowNetwork listed(
+      4, 0, 3, {{0, 1, 4.0}, {1, 2, 11.0}, {2, 3, 6.0}});
+  EXPECT_EQ(listed.max_capacity(), 11.0);
+  const graph::FlowNetwork scaled =
+      listed.transform_capacities([](double c) { return 20.0 - c; });
+  EXPECT_EQ(scaled.max_capacity(), 16.0);
+  EXPECT_EQ(scaled.max_capacity(), scan(scaled));
+  graph::FlowNetwork copy = scaled;
+  copy.set_capacity(0, 1.0);
+  EXPECT_EQ(copy.max_capacity(), 14.0);
+  EXPECT_EQ(scaled.max_capacity(), 16.0);
 }
 
 TEST(FlowNetwork, PaperExamples) {

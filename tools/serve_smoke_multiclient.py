@@ -14,9 +14,10 @@ streaming a mixed request script. Validates, per client:
 
 Then probes the session cap (one connection beyond --max-sessions must get
 a single ok:false rejection line and EOF), drives one reconfiguration-stream
-session through the structured `--edits` form (incremental solves checked
-against forced `--scratch` re-solves every revision), sends `shutdown`, and
-requires the server process to exit cleanly. Exit code 0 = smoke passed.
+session through the structured `--edits` form (consecutive incremental
+solves of dinic and push_relabel checked against the non-incremental
+edmonds_karp every revision), sends `shutdown`, and requires the server
+process to exit cleanly. Exit code 0 = smoke passed.
 
 Usage: serve_smoke_multiclient.py --aflow PATH [--clients N] [--requests M]
                                   [--tcp]
@@ -127,8 +128,10 @@ def run_reconfigure_stream(target):
     """One session streaming capacity-edit revisions via `--edits`.
 
     Every revision: apply a small structured edit batch, then check that
-    the incremental solve (delta:true) matches a forced from-scratch
-    re-solve of the same revision. Also probes the removed
+    the incremental solves (delta:true) of dinic and push_relabel match
+    edmonds_karp, which has no incremental path and its own bank. Each
+    incremental backend thus takes consecutive delta steps from its kept
+    residual; one step asks for `--check`. Also probes the removed
     `--edge/--capacity` alias for its pointer at the structured form.
     """
     client = Client(target)
@@ -136,12 +139,14 @@ def run_reconfigure_stream(target):
     assert doc["ok"] is True, doc
     edges = doc["edges"]
 
-    doc = client.request("solve --solver dinic")
-    assert doc["ok"] is True and doc["delta"] is False, doc
+    backends = ("dinic", "push_relabel")
+    for backend in backends:
+        doc = client.request(f"solve --solver {backend}")
+        assert doc["ok"] is True and doc["delta"] is False, doc
 
     rng = random.Random(42)
     revision = None
-    for _ in range(5):
+    for step in range(6):
         batch = {e: round(rng.uniform(1.0, 9.0), 2)
                  for e in rng.sample(range(edges), 3)}
         spec = ",".join(f"{e}:{c}" for e, c in batch.items())
@@ -153,12 +158,14 @@ def run_reconfigure_stream(target):
             assert doc["revision"] == revision + 1, doc
         revision = doc["revision"]
 
-        inc = client.request("solve --solver dinic")
-        assert inc["ok"] is True and inc["delta"] is True, inc
-        ref = client.request("solve --solver dinic --scratch")
+        ref = client.request("solve --solver edmonds_karp")
         assert ref["ok"] is True and ref["delta"] is False, ref
         scale = max(1.0, abs(ref["flow"]))
-        assert abs(inc["flow"] - ref["flow"]) <= 1e-9 * scale, (inc, ref)
+        for backend in backends:
+            check = " --check" if step == 3 else ""
+            inc = client.request(f"solve --solver {backend}{check}")
+            assert inc["ok"] is True and inc["delta"] is True, inc
+            assert abs(inc["flow"] - ref["flow"]) <= 1e-9 * scale, (inc, ref)
 
     # Sharded decomposition solve of the current revision: exact, so it must
     # reproduce the direct solver's value, with a valid pre-refinement bound.
@@ -258,7 +265,7 @@ def main():
         transport = "tcp" if args.tcp else "unix-socket"
         print(f"multi-client serve smoke ({transport}): {args.clients} "
               f"concurrent sessions x {args.requests}+ requests OK, cap "
-              "rejection OK, reconfigure stream (delta vs scratch) OK, "
+              "rejection OK, reconfigure stream (delta vs edmonds_karp) OK, "
               "clean shutdown")
         return 0
     finally:
