@@ -24,12 +24,10 @@ double seconds_since(Clock::time_point t0) {
 /// `batch.solve` fault site, FlowNetwork::validate, the solve and, with
 /// BatchOptions::validate, check_flow. Any throw is isolated into `out`.
 /// `net()` yields the instance (run_streamed builds it here, so a failed
-/// build is isolated too). A stateful delta solve returns no edge flows,
-/// so `state` supplies them to the check.
+/// build is isolated too).
 template <typename Net, typename Solve>
 void run_instance(const BatchOptions& options, InstanceOutcome& out,
-                  Net&& net, Solve&& solve,
-                  const flow::DeltaState* state = nullptr) {
+                  Net&& net, Solve&& solve) {
   const auto t0 = Clock::now();
   try {
     options.cancel.check();
@@ -38,8 +36,6 @@ void run_instance(const BatchOptions& options, InstanceOutcome& out,
     g.validate();
     out.result = solve(g);
     if (options.validate) {
-      if (state && out.result.edge_flow.empty())
-        out.result.edge_flow = state->edge_flows(g);
       const std::string err = flow::check_flow(g, out.result);
       if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
     }
@@ -209,7 +205,7 @@ InstanceOutcome BatchEngine::run_delta(const graph::FlowNetwork& net,
                                        const flow::CapacityDelta& delta,
                                        const flow::MaxFlowResult& prior,
                                        const SolverPtr& solver,
-                                       flow::DeltaState* state) const {
+                                       flow::DeltaState& state) const {
   if (!solver)
     throw std::invalid_argument("BatchEngine::run_delta: solver is null");
   InstanceOutcome out;
@@ -217,12 +213,16 @@ InstanceOutcome BatchEngine::run_delta(const graph::FlowNetwork& net,
   run_instance(
       options_, out, [&]() -> const graph::FlowNetwork& { return net; },
       [&](const graph::FlowNetwork& g) {
-        return solver->solve_delta(g, delta, prior, state, options_.cancel);
-      },
-      state);
+        flow::MaxFlowResult r =
+            solver->solve_delta(g, delta, prior, &state, options_.cancel);
+        // A stateful solve returns no edge flows; the check reads them.
+        if (options_.validate && r.edge_flow.empty())
+          r.edge_flow = state.edge_flows(g);
+        return r;
+      });
   // A step that failed anywhere (before the solve, inside it, or in the
   // check) left the state behind `net`'s edits or half-repaired.
-  if (!out.ok && state) state->clear();
+  if (!out.ok) state.clear();
   return out;
 }
 
@@ -248,7 +248,7 @@ BatchReport BatchEngine::run_delta(const graph::FlowNetwork& base,
     try {
       flow::CapacityDelta d = deltas[k]; // apply() records old capacities
       d.apply(net);
-      out = run_delta(net, d, prior, solver, &state);
+      out = run_delta(net, d, prior, solver, state);
     } catch (const std::exception& e) {
       // A bad edit (index / capacity) fails this step. apply() is
       // all-or-nothing, so the network (and the kept state) still holds

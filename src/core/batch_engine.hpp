@@ -123,15 +123,15 @@ class BatchEngine {
                           const SolverPtr& solver) const;
 
   /// Single-step delta entry: solves the post-edit `net` through
-  /// solver->solve_delta(net, delta, prior, state) like run_one. A caller
-  /// streaming edits passes its flow::DeltaState (see ISolver::solve_delta);
-  /// with BatchOptions::validate the check reads edge flows from the state
-  /// when the solve returned none. A failed step clears the state.
+  /// solver->solve_delta(net, delta, prior, &state) like run_one, advancing
+  /// the caller's stream state (see ISolver::solve_delta). With
+  /// BatchOptions::validate the check reads edge flows from the state when
+  /// the solve returned none. A failed step clears the state.
   InstanceOutcome run_delta(const graph::FlowNetwork& net,
                             const flow::CapacityDelta& delta,
                             const flow::MaxFlowResult& prior,
                             const SolverPtr& solver,
-                            flow::DeltaState* state = nullptr) const;
+                            flow::DeltaState& state) const;
 
   /// Reconfiguration-stream entry: outcome 0 solves `base` from scratch;
   /// outcome k >= 1 applies deltas[k-1] to the running network and

@@ -11,29 +11,21 @@ namespace aflow::core {
 namespace {
 
 /// Adapts a `flow::` free function to the ISolver interface. Backends with
-/// incremental companions pass the edge-flow re-solve (dinic_delta,
-/// push_relabel_delta) as `delta_fn` and the stateful one (dinic_resolve,
-/// push_relabel_resolve) as `resolve_fn`, and advertise
-/// SolverCapabilities::incremental; the rest keep the ISolver default
-/// (from-scratch fallback).
+/// an incremental companion (dinic_resolve, push_relabel_resolve) pass it
+/// as `resolve_fn` and advertise SolverCapabilities::incremental; the rest
+/// keep the ISolver default (from-scratch fallback).
 class ClassicalSolver final : public ISolver {
  public:
   using Fn = flow::MaxFlowResult (*)(const graph::FlowNetwork&,
                                      const util::CancelToken&);
-  using DeltaFn = flow::MaxFlowResult (*)(const graph::FlowNetwork&,
-                                          const flow::CapacityDelta&,
-                                          const flow::MaxFlowResult&,
-                                          const util::CancelToken&);
   using ResolveFn = flow::MaxFlowResult (*)(const graph::FlowNetwork&,
                                             const flow::CapacityDelta&,
                                             const flow::MaxFlowResult&,
                                             flow::DeltaState&,
                                             const util::CancelToken&);
 
-  ClassicalSolver(std::string name, Fn fn, DeltaFn delta_fn = nullptr,
-                  ResolveFn resolve_fn = nullptr)
-      : name_(std::move(name)), fn_(fn), delta_fn_(delta_fn),
-        resolve_fn_(resolve_fn) {}
+  ClassicalSolver(std::string name, Fn fn, ResolveFn resolve_fn = nullptr)
+      : name_(std::move(name)), fn_(fn), resolve_fn_(resolve_fn) {}
 
   using ISolver::solve;
   using ISolver::solve_delta;
@@ -41,7 +33,7 @@ class ClassicalSolver final : public ISolver {
   const std::string& name() const override { return name_; }
   SolverCapabilities capabilities() const override {
     SolverCapabilities caps;
-    caps.incremental = delta_fn_ != nullptr;
+    caps.incremental = resolve_fn_ != nullptr;
     return caps;
   }
   flow::MaxFlowResult solve(const graph::FlowNetwork& net,
@@ -52,17 +44,19 @@ class ClassicalSolver final : public ISolver {
       const graph::FlowNetwork& net, const flow::CapacityDelta& delta,
       const flow::MaxFlowResult& prior, flow::DeltaState* state,
       const CancelToken& cancel) const override {
-    if (!delta_fn_)
+    if (!resolve_fn_)
       return ISolver::solve_delta(net, delta, prior, state, cancel);
-    if (state && resolve_fn_)
-      return resolve_fn_(net, delta, prior, *state, cancel);
-    return delta_fn_(net, delta, prior, cancel);
+    if (state) return resolve_fn_(net, delta, prior, *state, cancel);
+    // A caller that keeps no state gets the edge flows.
+    flow::DeltaState local;
+    flow::MaxFlowResult r = resolve_fn_(net, delta, prior, local, cancel);
+    r.edge_flow = local.edge_flows(net);
+    return r;
   }
 
  private:
   std::string name_;
   Fn fn_;
-  DeltaFn delta_fn_;
   ResolveFn resolve_fn_;
 };
 
@@ -103,8 +97,7 @@ class AnalogSolverAdapter final : public ISolver {
       const CancelToken& cancel) const override {
     if (!solver_.has_reuse_pool())
       return ISolver::solve_delta(net, delta, prior, state, cancel);
-    // The analog carry-over state lives in the ReusePool.
-    (void)prior;
+    (void)prior; // the analog carry-over state lives in the ReusePool
     (void)state;
     return to_result(solver_.solve_delta(net, delta, cancel));
   }
@@ -143,13 +136,12 @@ void register_builtins(SolverRegistry& reg) {
   });
   reg.add("dinic", [] {
     return std::make_shared<ClassicalSolver>("dinic", &flow::dinic,
-                                             &flow::dinic_delta,
                                              &flow::dinic_resolve);
   });
   reg.add("push_relabel", [] {
-    return std::make_shared<ClassicalSolver>(
-        "push_relabel", &flow::push_relabel, &flow::push_relabel_delta,
-        &flow::push_relabel_resolve);
+    return std::make_shared<ClassicalSolver>("push_relabel",
+                                             &flow::push_relabel,
+                                             &flow::push_relabel_resolve);
   });
   // Default-configured sharded decomposition solver; callers needing a
   // specific shard count / region backend construct ShardedSolver directly.

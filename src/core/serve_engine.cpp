@@ -620,7 +620,7 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
   BatchReport report = report_of(
       delta_path ? BatchEngine(bo).run_delta(net, delta,
                                              prior_it->second.result,
-                                             b.solver, &prior_it->second.state)
+                                             b.solver, prior_it->second.state)
                  : BatchEngine(bo).run_one(net, b.solver));
   engine_.absorb(b, report);
   absorb_session(report);

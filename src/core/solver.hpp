@@ -73,12 +73,14 @@ class ISolver {
   /// from-scratch solve() and counts a metrics.delta_fallbacks. Either way
   /// the returned flow value matches a from-scratch solve of `net`.
   ///
-  /// `state` is null for callers that keep no state. A caller streaming
-  /// edits passes one flow::DeltaState per stream: the classical backends
-  /// then advance the residual it keeps (flow::dinic_resolve and
-  /// flow::push_relabel_resolve) and return no edge flows, which the state
-  /// extracts on request. The state is not thread-safe: one stream, one
-  /// thread. The analog backends and the default ignore it.
+  /// `state` is null for callers that keep no state; the classical
+  /// backends then re-solve on a fresh state and return its edge flows. A
+  /// caller streaming edits passes one flow::DeltaState per stream: the
+  /// classical backends then advance the residual it keeps
+  /// (flow::dinic_resolve and flow::push_relabel_resolve) and return no
+  /// edge flows, which the state extracts on request. The state is not
+  /// thread-safe: one stream, one thread. The analog backends and the
+  /// default ignore it.
   virtual flow::MaxFlowResult solve_delta(const graph::FlowNetwork& net,
                                           const flow::CapacityDelta& delta,
                                           const flow::MaxFlowResult& prior,

@@ -7,54 +7,11 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "flow/residual.hpp"
 
 namespace aflow::flow {
-
-namespace {
-
-MaxFlowResult solve_delta_impl(const graph::FlowNetwork& net,
-                               const CapacityDelta& delta,
-                               const MaxFlowResult& prior,
-                               bool use_push_relabel,
-                               const util::CancelToken& cancel) {
-  const auto scratch = [&](bool fallback) {
-    MaxFlowResult r =
-        use_push_relabel ? push_relabel(net, cancel) : dinic(net, cancel);
-    r.metrics.delta_fallbacks = fallback ? 1 : 0;
-    r.metrics.edges_touched = delta.distinct_edges();
-    return r;
-  };
-  if (!delta_prior_usable(net, prior)) return scratch(/*fallback=*/true);
-
-  detail::Residual r(net, prior.edge_flow);
-  MaxFlowResult result;
-  // The shared conservation repair (flow/residual.hpp) drains the carry's
-  // imbalances; a false return means a numerically degenerate prior.
-  if (!detail::repair_conservation(r, net.source(), net.sink(),
-                                   result.operations, cancel))
-    return scratch(/*fallback=*/true);
-  // Either backend's own pass then augments the repaired flow. Push-relabel
-  // floods the source arcs from it: the opening global relabel skips arcs
-  // into vertices that cannot reach the sink, and excess cut off later
-  // parks at n, where a height refresh lifts a whole cut-off region at once
-  // (DESIGN.md "Incremental re-solve: the delta path").
-  if (use_push_relabel)
-    result.operations += detail::push_relabel_augment(
-        r, net.source(), net.sink(), cancel, &result.metrics);
-  else
-    detail::dinic_augment(r, net.source(), net.sink(), result.operations,
-                          cancel);
-
-  result.flow_value = r.flow_value_at(net, net.source());
-  result.edge_flow = r.edge_flows(net);
-  result.metrics.delta_solves = 1;
-  result.metrics.edges_touched = delta.distinct_edges();
-  return result;
-}
-
-} // namespace
 
 int CapacityDelta::distinct_edges() const {
   std::unordered_set<int> edges;
@@ -139,20 +96,26 @@ bool delta_prior_usable(const graph::FlowNetwork& net,
   return true;
 }
 
+// The edge-flow re-solves are the stateful ones on a fresh state (the
+// carry, the full-scan repair, the augment) plus the extraction.
 MaxFlowResult dinic_delta(const graph::FlowNetwork& net,
                           const CapacityDelta& delta,
                           const MaxFlowResult& prior,
                           const util::CancelToken& cancel) {
-  return solve_delta_impl(net, delta, prior, /*use_push_relabel=*/false,
-                          cancel);
+  DeltaState state;
+  MaxFlowResult r = dinic_resolve(net, delta, prior, state, cancel);
+  r.edge_flow = state.edge_flows(net);
+  return r;
 }
 
 MaxFlowResult push_relabel_delta(const graph::FlowNetwork& net,
                                  const CapacityDelta& delta,
                                  const MaxFlowResult& prior,
                                  const util::CancelToken& cancel) {
-  return solve_delta_impl(net, delta, prior, /*use_push_relabel=*/true,
-                          cancel);
+  DeltaState state;
+  MaxFlowResult r = push_relabel_resolve(net, delta, prior, state, cancel);
+  r.edge_flow = state.edge_flows(net);
+  return r;
 }
 
 DeltaState::DeltaState() = default;
@@ -198,9 +161,9 @@ bool DeltaState::apply_edits(const graph::FlowNetwork& net,
   // cannot have grown, so the kept flow is still a maximum flow.
   maximal = pending.empty() && !raised;
   if (pending.empty()) return true;
-  return detail::ConservationRepair(r, net.source(), net.sink(),
-                                    std::move(im), std::move(pending))
-      .run(ops, cancel);
+  return detail::repair_conservation(r, net.source(), net.sink(),
+                                     std::move(im), std::move(pending), ops,
+                                     cancel);
 }
 
 MaxFlowResult DeltaState::resolve(const graph::FlowNetwork& net,
@@ -222,6 +185,8 @@ MaxFlowResult DeltaState::resolve(const graph::FlowNetwork& net,
       carried = apply_edits(net, delta, result.operations, cancel, maximal);
     } else if (delta_prior_usable(net, prior)) {
       residual_ = std::make_unique<detail::Residual>(net, prior.edge_flow);
+      // The full-scan repair drains the carry's imbalances; a false return
+      // means a numerically degenerate prior.
       carried = detail::repair_conservation(*residual_, s, t,
                                             result.operations, cancel);
     }
@@ -229,6 +194,12 @@ MaxFlowResult DeltaState::resolve(const graph::FlowNetwork& net,
       residual_ = std::make_unique<detail::Residual>(net);
       result.operations = 0;
     }
+    // Either backend's own pass then augments the repaired flow.
+    // Push-relabel floods the source arcs from it: the opening global
+    // relabel skips arcs into vertices that cannot reach the sink, and
+    // excess cut off later parks at n, where a height refresh lifts a whole
+    // cut-off region at once (DESIGN.md "Incremental re-solve: the delta
+    // path").
     if (maximal) {
       // Edits that only lowered unclamped capacities: nothing to augment.
     } else if (use_push_relabel) {

@@ -123,8 +123,9 @@ struct Residual;
 
 class DeltaState;
 
-/// Stateful re-solves: the edge-flow re-solves above, advancing the
-/// residual kept in `state` instead of rebuilding one.
+/// Stateful re-solves, which advance the residual kept in `state` instead
+/// of rebuilding one. The edge-flow re-solves above are these on a fresh
+/// state, followed by DeltaState::edge_flows.
 ///
 /// - Empty state (or one whose shape does not match `net`): carry from
 ///   `prior.edge_flow` into the state and repair with the full scan; an

@@ -76,139 +76,159 @@ namespace {
 /// exactly as before).
 constexpr double kImbalanceEps = 1e-9;
 
+/// Shortest-path repair pusher over a carried residual. Both directions
+/// terminate by flow decomposition of the carried pseudo-flow: a surplus
+/// node's extra inflow is reversible back to the source, a deficit node's
+/// extra outflow is reversible back from the sink.
+class ConservationRepair {
+ public:
+  ConservationRepair(Residual& r, int s, int t, std::vector<double> im,
+                     std::vector<int> pending)
+      : r_(r), s_(s), t_(t), eps_(kImbalanceEps * r.capacity_scale()),
+        im_(std::move(im)), pending_(std::move(pending)),
+        parent_arc_(r.n, -1), seen_(r.n, 0) {}
+
+  /// All excesses drain before any deficit fills: once no excess nodes
+  /// remain, decomposing the carried pseudo-flow shows every deficit node's
+  /// surplus outflow reaches the sink, so the reverse search in fill_deficit
+  /// always finds a terminal supplier.
+  bool run(long long& ops, const util::CancelToken& cancel) {
+    for (const int v : pending_) {
+      if (v == s_ || v == t_) continue;
+      while (im_[v] > eps_) {
+        cancel.check();
+        if (!drain_excess(v)) return false;
+        ops++;
+      }
+    }
+    for (const int v : pending_) {
+      if (v == s_ || v == t_) continue;
+      while (im_[v] < -eps_) {
+        cancel.check();
+        if (!fill_deficit(v)) return false;
+        ops++;
+      }
+    }
+    return true;
+  }
+
+ private:
+  bool is_deficit(int v) const {
+    return v != s_ && v != t_ && im_[v] < -eps_;
+  }
+
+  void push_arc(int arc, double amount) {
+    r_.cap[static_cast<size_t>(arc)] -= amount;
+    r_.cap[static_cast<size_t>(r_.rev(arc))] += amount;
+  }
+
+  /// BFS forward from `v` to the nearest of {s, t, any deficit vertex};
+  /// pushes the bottleneck (capped by both imbalances) along the path.
+  bool drain_excess(int v) {
+    ++stamp_;
+    std::queue<int> q;
+    q.push(v);
+    seen_[v] = stamp_;
+    int target = -1;
+    while (!q.empty() && target < 0) {
+      const int x = q.front();
+      q.pop();
+      for (int arc : r_.arcs(x)) {
+        // Dust-capacity arcs (rounding residue of earlier pushes) are
+        // saturated for repair purposes: routing through one would cap the
+        // push at float noise and stall the repair.
+        const int u = r_.head[arc];
+        if (seen_[u] == stamp_ || r_.cap[arc] <= eps_) continue;
+        seen_[u] = stamp_;
+        parent_arc_[u] = arc;
+        if (u == s_ || u == t_ || is_deficit(u)) {
+          target = u;
+          break;
+        }
+        q.push(u);
+      }
+    }
+    if (target < 0) return false;
+
+    double amount = im_[v];
+    if (is_deficit(target)) amount = std::min(amount, -im_[target]);
+    for (int x = target; x != v; x = r_.head[r_.rev(parent_arc_[x])])
+      amount = std::min(amount, r_.cap[parent_arc_[x]]);
+    if (amount <= eps_) return false;
+
+    for (int x = target; x != v; x = r_.head[r_.rev(parent_arc_[x])])
+      push_arc(parent_arc_[x], amount);
+    im_[v] -= amount;
+    if (target != s_ && target != t_) im_[target] += amount;
+    return true;
+  }
+
+  /// BFS backward from `v` to the nearest of {s, t} (all surplus vertices
+  /// are drained before any fill runs, so only terminals can supply);
+  /// pushes the bottleneck along the found u -> ... -> v residual path.
+  bool fill_deficit(int v) {
+    ++stamp_;
+    std::queue<int> q;
+    q.push(v);
+    seen_[v] = stamp_;
+    int source_node = -1;
+    while (!q.empty() && source_node < 0) {
+      const int x = q.front();
+      q.pop();
+      for (int arc : r_.arcs(x)) {
+        // Predecessor u = head[arc] supplies x through the arc's reverse
+        // (u -> x), which must have residual capacity above the dust
+        // threshold (see drain_excess).
+        const int u = r_.head[arc];
+        if (seen_[u] == stamp_ || r_.cap[r_.rev(arc)] <= eps_)
+          continue;
+        seen_[u] = stamp_;
+        parent_arc_[u] = r_.rev(arc); // the u -> x residual arc
+        if (u == s_ || u == t_) {
+          source_node = u;
+          break;
+        }
+        q.push(u);
+      }
+    }
+    if (source_node < 0) return false;
+
+    double amount = -im_[v];
+    for (int x = source_node; x != v; x = r_.head[parent_arc_[x]])
+      amount = std::min(amount, r_.cap[parent_arc_[x]]);
+    if (amount <= eps_) return false;
+
+    for (int x = source_node; x != v; x = r_.head[parent_arc_[x]])
+      push_arc(parent_arc_[x], amount);
+    im_[v] += amount;
+    return true;
+  }
+
+  Residual& r_;
+  int s_, t_;
+  double eps_;
+  std::vector<double> im_;
+  std::vector<int> pending_;
+  std::vector<int> parent_arc_;
+  std::vector<int> seen_; // visit stamps: seen_[u] == stamp_ means visited
+  int stamp_ = 0;
+};
+
 } // namespace
-
-ConservationRepair::ConservationRepair(Residual& r, int s, int t,
-                                       std::vector<double> im,
-                                       std::vector<int> pending)
-    : r_(r), s_(s), t_(t), eps_(kImbalanceEps * r.capacity_scale()),
-      im_(std::move(im)), pending_(std::move(pending)), parent_arc_(r.n, -1),
-      seen_(r.n, 0) {}
-
-// All excesses drain before any deficit fills: once no excess nodes remain,
-// decomposing the carried pseudo-flow shows every deficit node's surplus
-// outflow reaches the sink, so the reverse search in fill_deficit always
-// finds a terminal supplier. Both directions terminate by flow
-// decomposition of the carried pseudo-flow: a surplus node's extra inflow
-// is reversible back to the source, a deficit node's extra outflow is
-// reversible back from the sink.
-bool ConservationRepair::run(long long& ops, const util::CancelToken& cancel) {
-  for (const int v : pending_) {
-    if (v == s_ || v == t_) continue;
-    while (im_[v] > eps_) {
-      cancel.check();
-      if (!drain_excess(v)) return false;
-      ops++;
-    }
-  }
-  for (const int v : pending_) {
-    if (v == s_ || v == t_) continue;
-    while (im_[v] < -eps_) {
-      cancel.check();
-      if (!fill_deficit(v)) return false;
-      ops++;
-    }
-  }
-  return true;
-}
-
-bool ConservationRepair::is_deficit(int v) const {
-  return v != s_ && v != t_ && im_[v] < -eps_;
-}
-
-void ConservationRepair::push_arc(int arc, double amount) {
-  r_.cap[static_cast<size_t>(arc)] -= amount;
-  r_.cap[static_cast<size_t>(r_.rev(arc))] += amount;
-}
-
-/// BFS forward from `v` to the nearest of {s, t, any deficit vertex};
-/// pushes the bottleneck (capped by both imbalances) along the path.
-bool ConservationRepair::drain_excess(int v) {
-  ++stamp_;
-  std::queue<int> q;
-  q.push(v);
-  seen_[v] = stamp_;
-  int target = -1;
-  while (!q.empty() && target < 0) {
-    const int x = q.front();
-    q.pop();
-    for (int arc : r_.arcs(x)) {
-      // Dust-capacity arcs (rounding residue of earlier pushes) are
-      // saturated for repair purposes: routing through one would cap the
-      // push at float noise and stall the repair.
-      const int u = r_.head[arc];
-      if (seen_[u] == stamp_ || r_.cap[arc] <= eps_) continue;
-      seen_[u] = stamp_;
-      parent_arc_[u] = arc;
-      if (u == s_ || u == t_ || is_deficit(u)) {
-        target = u;
-        break;
-      }
-      q.push(u);
-    }
-  }
-  if (target < 0) return false;
-
-  double amount = im_[v];
-  if (is_deficit(target)) amount = std::min(amount, -im_[target]);
-  for (int x = target; x != v; x = r_.head[r_.rev(parent_arc_[x])])
-    amount = std::min(amount, r_.cap[parent_arc_[x]]);
-  if (amount <= eps_) return false;
-
-  for (int x = target; x != v; x = r_.head[r_.rev(parent_arc_[x])])
-    push_arc(parent_arc_[x], amount);
-  im_[v] -= amount;
-  if (target != s_ && target != t_) im_[target] += amount;
-  return true;
-}
-
-/// BFS backward from `v` to the nearest of {s, t} (all surplus vertices
-/// are drained before any fill runs, so only terminals can supply);
-/// pushes the bottleneck along the found u -> ... -> v residual path.
-bool ConservationRepair::fill_deficit(int v) {
-  ++stamp_;
-  std::queue<int> q;
-  q.push(v);
-  seen_[v] = stamp_;
-  int source_node = -1;
-  while (!q.empty() && source_node < 0) {
-    const int x = q.front();
-    q.pop();
-    for (int arc : r_.arcs(x)) {
-      // Predecessor u = head[arc] supplies x through the arc's reverse
-      // (u -> x), which must have residual capacity above the dust
-      // threshold (see drain_excess).
-      const int u = r_.head[arc];
-      if (seen_[u] == stamp_ || r_.cap[r_.rev(arc)] <= eps_)
-        continue;
-      seen_[u] = stamp_;
-      parent_arc_[u] = r_.rev(arc); // the u -> x residual arc
-      if (u == s_ || u == t_) {
-        source_node = u;
-        break;
-      }
-      q.push(u);
-    }
-  }
-  if (source_node < 0) return false;
-
-  double amount = -im_[v];
-  for (int x = source_node; x != v; x = r_.head[parent_arc_[x]])
-    amount = std::min(amount, r_.cap[parent_arc_[x]]);
-  if (amount <= eps_) return false;
-
-  for (int x = source_node; x != v; x = r_.head[parent_arc_[x]])
-    push_arc(parent_arc_[x], amount);
-  im_[v] += amount;
-  return true;
-}
 
 bool repair_conservation(Residual& r, int s, int t, long long& ops,
                          const util::CancelToken& cancel) {
   std::vector<double> im = r.imbalances();
   std::vector<int> pending;
   for (int v = 0; v < r.n; ++v)
-    if (im[v] != 0.0) pending.push_back(v);
+    if (im[static_cast<size_t>(v)] != 0.0) pending.push_back(v);
+  return repair_conservation(r, s, t, std::move(im), std::move(pending), ops,
+                             cancel);
+}
+
+bool repair_conservation(Residual& r, int s, int t, std::vector<double> im,
+                         std::vector<int> pending, long long& ops,
+                         const util::CancelToken& cancel) {
   return ConservationRepair(r, s, t, std::move(im), std::move(pending))
       .run(ops, cancel);
 }

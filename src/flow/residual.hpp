@@ -56,58 +56,35 @@ struct Residual {
   std::vector<double> imbalances() const;
 };
 
-/// Restores conservation at the ordinary vertices of a capacity-feasible
+/// Restores conservation at every ordinary vertex of a capacity-feasible
 /// pseudo-flow held in `r`, by shortest-path pushes over the residual: every
 /// excess drains to {s, t, nearest deficit}, then every deficit fills from a
 /// terminal. Termination follows from flow decomposition of the carried
-/// pseudo-flow (DESIGN.md "Incremental re-solve: the delta path").
-///
-/// The caller names the imbalanced vertices: `im` holds every vertex's
-/// conservation surplus (inflow - outflow) and `pending` the vertices where
-/// it may exceed the dust threshold, in the order they are repaired. A push
-/// only moves surplus between vertices already named, so no other vertex
-/// needs a look. repair_conservation below names every vertex by a full
-/// scan; the stateful delta re-solve (flow/delta.hpp) names the endpoints
-/// of the edges whose flow an edit clamped.
-class ConservationRepair {
- public:
-  ConservationRepair(Residual& r, int s, int t, std::vector<double> im,
-                     std::vector<int> pending);
-
-  /// Counts one op per push into `ops`; returns false when no progress is
-  /// possible (numerically degenerate carry), in which case the caller
-  /// should discard the carry and solve from scratch. Checks `cancel` once
-  /// per push.
-  bool run(long long& ops, const util::CancelToken& cancel);
-
- private:
-  bool is_deficit(int v) const;
-  void push_arc(int arc, double amount);
-  bool drain_excess(int v);
-  bool fill_deficit(int v);
-
-  Residual& r_;
-  int s_, t_;
-  double eps_;
-  std::vector<double> im_;
-  std::vector<int> pending_;
-  std::vector<int> parent_arc_;
-  std::vector<int> seen_; // visit stamps: seen_[u] == stamp_ means visited
-  int stamp_ = 0;
-};
-
-/// The full-scan repair: every vertex's imbalance is read from the
-/// residual (Residual::imbalances) and every imbalanced vertex repaired,
-/// in vertex order. Shared by the edge-flow delta re-solves and the
-/// sharded-solve boundary stitch (core/sharded_solver.hpp), whose
+/// pseudo-flow (DESIGN.md "Incremental re-solve: the delta path"). Counts
+/// one op per push into `ops`; returns false when no progress is possible
+/// (numerically degenerate carry), in which case the caller should discard
+/// the carry and solve from scratch. Shared by the delta re-solve path and
+/// the sharded-solve boundary stitch (core/sharded_solver.hpp), whose
 /// min-matched cut-arc flows violate conservation exactly at region
 /// boundaries.
-/// This entry point and the two below take an optional util::CancelToken
+/// This entry point and the three below take an optional util::CancelToken
 /// and check it at their natural phase boundaries (one repair push, one Dinic
 /// BFS phase, every ~1k push-relabel queue pops); a tripped token unwinds
 /// with util::CancelledError. The default token never cancels and costs one
 /// null test per check.
 bool repair_conservation(Residual& r, int s, int t, long long& ops,
+                         const util::CancelToken& cancel = {});
+
+/// The same repair from caller-named imbalances, for a caller that knows
+/// where they are: `im` holds every vertex's conservation surplus
+/// (inflow - outflow), `pending` the vertices whose surplus may exceed the
+/// dust threshold, repaired in that order. A push only moves surplus
+/// between vertices already named, so no other vertex needs a look. The
+/// entry above names every imbalanced vertex by a full scan; the stateful
+/// delta re-solve (flow/delta.hpp) names the endpoints of the edges whose
+/// flow an edit clamped.
+bool repair_conservation(Residual& r, int s, int t, std::vector<double> im,
+                         std::vector<int> pending, long long& ops,
                          const util::CancelToken& cancel = {});
 
 /// Augments the (feasible-flow) residual `r` to a maximum flow with Dinic

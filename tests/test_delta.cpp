@@ -637,6 +637,10 @@ TEST(DeltaSolve, RegistryIncrementalBackendsMatchScratch) {
     const double exact = flow::dinic(edited).flow_value;
     const double tol = s->capabilities().exact ? 1e-6 : 0.05 * exact + 1e-6;
     EXPECT_NEAR(r.flow_value, exact, tol) << name;
+    // Without a stream state the exact backends return their edge flows.
+    if (s->capabilities().exact) {
+      EXPECT_EQ(flow::check_flow(edited, r), "") << name;
+    }
   }
   EXPECT_TRUE(any_incremental);
   // The non-incremental baseline still answers through the default
