@@ -9,9 +9,11 @@
 
 int main(int argc, char** argv) {
   using namespace aflow;
+  const util::Flag flags[] = {{"--seeds", "N"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
   bench::banner("Ablation — error vs number of quantization levels N (Sec. 4.1)");
 
-  const int seeds = bench::arg_int(argc, argv, "--seeds", 4);
+  const int seeds = args.number("--seeds", 4);
   std::printf("%6s %14s %14s %14s\n", "N", "avg |err|", "max |err|",
               "bound C/N (rel)");
   bench::rule();

@@ -11,9 +11,11 @@
 
 int main(int argc, char** argv) {
   using namespace aflow;
+  const util::Flag flags[] = {{"--seeds", "N"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
   bench::banner("Ablation — process variation and tuning (Sec. 4.3)");
 
-  const int seeds = bench::arg_int(argc, argv, "--seeds", 3);
+  const int seeds = args.number("--seeds", 3);
 
   std::printf("[ratio invariance] die-level global scale, ideal substrate:\n");
   const auto g0 = graph::rmat(40, 170, {}, 5);

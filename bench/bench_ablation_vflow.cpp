@@ -11,9 +11,11 @@
 
 int main(int argc, char** argv) {
   using namespace aflow;
+  const util::Flag flags[] = {{"--seeds", "N"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
   bench::banner("Ablation — error vs objective drive Vflow (Vdd = 1 V)");
 
-  const int seeds = bench::arg_int(argc, argv, "--seeds", 4);
+  const int seeds = args.number("--seeds", 4);
   std::printf("%10s %14s %14s   (negative = undershoot: cut not saturated)\n",
               "Vflow (V)", "avg err", "worst err");
   bench::rule();

@@ -21,14 +21,18 @@
 using namespace aflow;
 
 int main(int argc, char** argv) {
-  const std::string solver = bench::arg_string(argc, argv, "--solver", "dinic");
-  const int threads = bench::arg_int(argc, argv, "--threads", 8);
-  const int reps = bench::arg_int(argc, argv, "--reps", 3);
-  const double min_speedup = bench::arg_double(argc, argv, "--min-speedup", 0.0);
+  const util::Flag flags[] = {
+      {"--solver", "NAME"}, {"--threads", "N"}, {"--reps", "N"},
+      {"--min-speedup", "X"}, {"--batch", "SPEC"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
+  const std::string solver = args.string("--solver", "dinic");
+  const int threads = args.number("--threads", 8);
+  const int reps = args.number("--reps", 3);
+  const double min_speedup = args.number("--min-speedup", 0.0);
   // 31x31 grid-cut graphs have 963 vertices; the random instances are sized
   // to match (~1k nodes each), 64 instances total.
-  const std::string spec = bench::arg_string(
-      argc, argv, "--batch",
+  const std::string spec = args.string(
+      "--batch",
       "grid:side=31,count=32,seed=1;uniform:n=1000,m=8000,cap=64,count=32,seed=101");
 
   bench::banner("BatchEngine scaling: 1 thread vs " + std::to_string(threads) +

@@ -8,9 +8,11 @@
 
 int main(int argc, char** argv) {
   using namespace aflow;
+  const util::Flag flags[] = {{"--island", "N"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
   bench::banner("Sec. 6.2 / Fig. 11 — clustered architectures vs monolithic crossbar");
 
-  const int island = bench::arg_int(argc, argv, "--island", 32);
+  const int island = args.number("--island", 32);
   std::printf("island capacity: %d vertices (a %dx%d local crossbar per island)\n\n",
               island, island, island);
   std::printf("%6s %7s | %10s | %8s %7s %7s | %8s %7s %7s | %9s\n", "|V|",

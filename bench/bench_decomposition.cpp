@@ -9,9 +9,11 @@
 
 int main(int argc, char** argv) {
   using namespace aflow;
+  const util::Flag flags[] = {{"--seeds", "N"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
   bench::banner("Sec. 6.4 — dual decomposition of large instances");
 
-  const int seeds = bench::arg_int(argc, argv, "--seeds", 6);
+  const int seeds = args.number("--seeds", 6);
   std::printf("%6s %6s %7s %10s %10s %7s %8s %8s %8s\n", "|V|", "|E|", "seed",
               "exact cut", "decomp", "iters", "agreed", "size M", "size N");
   bench::rule();

@@ -138,21 +138,24 @@ struct GateResult {
 } // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::arg_flag(argc, argv, "--smoke");
-  const int reps = bench::arg_int(argc, argv, "--reps", smoke ? 1 : 3);
-  const int steps = bench::arg_int(argc, argv, "--steps", smoke ? 12 : 64);
-  const double edit_frac =
-      bench::arg_double(argc, argv, "--edit-frac", 0.01);
+  const util::Flag flags[] = {
+      {"--smoke"}, {"--reps", "N"}, {"--steps", "N"}, {"--edit-frac", "F"},
+      {"--edit-mag", "F"}, {"--min-speedup", "X"}, {"--spec", "SPEC"},
+      {"--json", "FILE"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
+  const bool smoke = args.has("--smoke");
+  const int reps = args.number("--reps", smoke ? 1 : 3);
+  const int steps = args.number("--steps", smoke ? 12 : 64);
+  const double edit_frac = args.number("--edit-frac", 0.01);
   // Reprogramming magnitude: each touched edge's capacity scales by a
   // factor in [1-mag, 1+mag]. 0.15 models the paper's conductance-tweak
   // streams; crank it to stress the repair path (correctness holds at any
   // magnitude — the test battery covers below-flow decreases).
-  const double edit_mag = bench::arg_double(argc, argv, "--edit-mag", 0.15);
-  const double min_speedup =
-      bench::arg_double(argc, argv, "--min-speedup", smoke ? 0.0 : 3.0);
-  const std::string spec = bench::arg_string(
-      argc, argv, "--spec", smoke ? "grid:side=16,seed=7" : "grid:side=31,seed=7");
-  const std::string json_path = bench::arg_string(argc, argv, "--json", "");
+  const double edit_mag = args.number("--edit-mag", 0.15);
+  const double min_speedup = args.number("--min-speedup", smoke ? 0.0 : 3.0);
+  const std::string spec = args.string(
+      "--spec", smoke ? "grid:side=16,seed=7" : "grid:side=31,seed=7");
+  const std::string json_path = args.string("--json", "");
 
   bench::banner("Incremental re-solve: capacity-edit streams through the "
                 "delta-first solver API");

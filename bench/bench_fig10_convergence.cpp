@@ -123,18 +123,21 @@ void print_regime(const char* title, bool dense, const std::vector<int>& sizes,
 } // namespace
 
 int main(int argc, char** argv) {
+  const util::Flag flags[] = {
+      {"--paper"}, {"--vflow", "V"}, {"--seed", "S"}, {"--dyn-max", "N"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
   // Paper range: 256..960. Default here is a reduced sweep that finishes in
   // minutes on a laptop; --paper runs the full range.
   std::vector<int> sizes = {256, 448, 640};
-  if (bench::arg_flag(argc, argv, "--paper"))
+  if (args.has("--paper"))
     sizes = {256, 320, 384, 448, 512, 576, 640, 704, 768, 832, 896, 960};
-  const double vflow = bench::arg_double(argc, argv, "--vflow", 10.0);
+  const double vflow = args.number("--vflow", 10.0);
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(bench::arg_int(argc, argv, "--seed", 7));
+      static_cast<std::uint64_t>(args.number("--seed", 7));
   // The unrailed dynamic model is only integrated where its start-up
   // transient stays bounded (see EXPERIMENTS.md
   // "Marginal stability on generated workloads").
-  const int dyn_max = bench::arg_int(argc, argv, "--dyn-max", 256);
+  const int dyn_max = args.number("--dyn-max", 256);
 
   print_regime("Fig. 10a — dense graphs (|E| ~ |V|^2), R-MAT", true, sizes,
                vflow, seed, dyn_max);

@@ -9,6 +9,8 @@
 
 int main(int argc, char** argv) {
   using namespace aflow;
+  const util::Flag flags[] = {{"--vflow", "V"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
   bench::banner("Fig. 5 — solving the example instance; waveform of V(x1..x5)");
 
   const auto g = graph::paper_example_fig5();
@@ -18,7 +20,7 @@ int main(int argc, char** argv) {
   opt.config.fidelity = analog::NegResFidelity::kOpAmpNic;
   opt.config.parasitics_on_internal_nodes = true;
   opt.config.nic_anti_latch = false;
-  opt.config.vflow = bench::arg_double(argc, argv, "--vflow", 10.0);
+  opt.config.vflow = args.number("--vflow", 10.0);
   opt.config.vdd = 3.0; // 1 V per capacity unit, as in the paper's figure
   opt.quantization = analog::QuantizationMode::kNone;
   opt.method = analog::SolveMethod::kTransient;

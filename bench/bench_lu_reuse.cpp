@@ -67,16 +67,18 @@ PathTotals run_path(const std::vector<graph::FlowNetwork>& instances,
 } // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::arg_flag(argc, argv, "--smoke");
-  const int reps = bench::arg_int(argc, argv, "--reps", smoke ? 1 : 3);
-  const double min_speedup =
-      bench::arg_double(argc, argv, "--min-speedup", smoke ? 0.0 : 1.5);
+  const util::Flag flags[] = {
+      {"--smoke"}, {"--reps", "N"}, {"--min-speedup", "X"},
+      {"--batch", "SPEC"}, {"--json", "FILE"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
+  const bool smoke = args.has("--smoke");
+  const int reps = args.number("--reps", smoke ? 1 : 3);
+  const double min_speedup = args.number("--min-speedup", smoke ? 0.0 : 1.5);
   // Dense-ish ~1k-node circuits whose clamp ladders make the DC solve
   // Newton/PWL-heavy; 64 instances as in the acceptance criterion.
-  const std::string spec = bench::arg_string(
-      argc, argv, "--batch",
-      smoke ? "grid:side=6,count=4,seed=5"
-            : "grid:side=13,count=64,seed=5");
+  const std::string spec =
+      args.string("--batch", smoke ? "grid:side=6,count=4,seed=5"
+                                   : "grid:side=13,count=64,seed=5");
 
   bench::banner("LU factorisation reuse: rebuild-per-iteration baseline vs "
                 "refactor fast path");
@@ -145,7 +147,7 @@ int main(int argc, char** argv) {
   bench::rule();
   std::printf("speedup: %.2fx  (gate: %.2fx)\n", speedup, min_speedup);
 
-  const std::string json_path = bench::arg_string(argc, argv, "--json", "");
+  const std::string json_path = args.string("--json", "");
   if (!json_path.empty()) {
     aflow::util::JsonWriter j;
     j.begin_object();

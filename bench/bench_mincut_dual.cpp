@@ -10,9 +10,11 @@
 
 int main(int argc, char** argv) {
   using namespace aflow;
+  const util::Flag flags[] = {{"--seeds", "N"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
   bench::banner("Sec. 6.3 — analog min-cut via the dual LP circuit");
 
-  const int seeds = bench::arg_int(argc, argv, "--seeds", 8);
+  const int seeds = args.number("--seeds", 8);
   std::printf("%6s %6s %6s %10s %12s %12s %10s %8s\n", "seed", "|V|", "|E|",
               "exact cut", "partition", "objective", "flow r/o", "DC iters");
   bench::rule();

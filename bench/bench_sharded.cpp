@@ -77,21 +77,26 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 } // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::arg_flag(argc, argv, "--smoke");
-  const int height = bench::arg_int(argc, argv, "--height", smoke ? 120 : 1000);
-  const int width = bench::arg_int(argc, argv, "--width", smoke ? 120 : 1000);
-  const int cap = bench::arg_int(argc, argv, "--cap", 64);
-  const int seed = bench::arg_int(argc, argv, "--seed", 7);
-  const int shards = bench::arg_int(argc, argv, "--shards", smoke ? 4 : 8);
-  const int threads = bench::arg_int(argc, argv, "--threads", 0);
-  const std::string region_solver = bench::arg_string(
-      argc, argv, "--region-solver", core::ShardOptions{}.region_solver);
-  const double min_speedup =
-      bench::arg_double(argc, argv, "--min-speedup", smoke ? 0.0 : 2.0);
+  const util::Flag flags[] = {
+      {"--smoke"}, {"--height", "N"}, {"--width", "N"}, {"--cap", "C"},
+      {"--seed", "S"}, {"--shards", "K"}, {"--threads", "N"},
+      {"--region-solver", "NAME"}, {"--min-speedup", "X"},
+      {"--rss-budget-mb", "MB"}, {"--json", "FILE"}, {"--dimacs", "FILE"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
+  const bool smoke = args.has("--smoke");
+  const int height = args.number("--height", smoke ? 120 : 1000);
+  const int width = args.number("--width", smoke ? 120 : 1000);
+  const int cap = args.number("--cap", 64);
+  const int seed = args.number("--seed", 7);
+  const int shards = args.number("--shards", smoke ? 4 : 8);
+  const int threads = args.number("--threads", 0);
+  const std::string region_solver =
+      args.string("--region-solver", core::ShardOptions{}.region_solver);
+  const double min_speedup = args.number("--min-speedup", smoke ? 0.0 : 2.0);
   const double rss_budget_mb =
-      bench::arg_double(argc, argv, "--rss-budget-mb", smoke ? 0.0 : 384.0);
-  const std::string json_path = bench::arg_string(argc, argv, "--json", "");
-  std::string dimacs = bench::arg_string(argc, argv, "--dimacs", "");
+      args.number("--rss-budget-mb", smoke ? 0.0 : 384.0);
+  const std::string json_path = args.string("--json", "");
+  std::string dimacs = args.string("--dimacs", "");
   const bool keep_dimacs = !dimacs.empty();
   if (dimacs.empty())
     dimacs = (std::filesystem::temp_directory_path() /

@@ -1,6 +1,6 @@
 // Shared helpers for the reproduction benches: wall-clock timing of the CPU
-// baseline and consistent table printing. Argv parsing lives in
-// util/args.hpp (shared with the aflow CLI) and is re-exported here.
+// baseline and consistent table printing. Each bench declares its flags
+// and parses argv with util/args.hpp (shared with the aflow CLI and serve).
 #pragma once
 
 #include <chrono>
@@ -14,11 +14,6 @@
 #include "util/json.hpp"
 
 namespace aflow::bench {
-
-using util::arg_double;
-using util::arg_flag;
-using util::arg_int;
-using util::arg_string;
 
 /// Appends one aflow-bench-v1 gate record — the single definition of the
 /// {name, timed, speedup, threshold, pass} shape shared by the gated

@@ -127,21 +127,23 @@ struct GateResult {
 } // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::arg_flag(argc, argv, "--smoke");
-  const int reps = bench::arg_int(argc, argv, "--reps", smoke ? 1 : 3);
-  const double min_speedup =
-      bench::arg_double(argc, argv, "--min-speedup", smoke ? 0.0 : 1.3);
-  const double min_tr_speedup = bench::arg_double(
-      argc, argv, "--min-transient-speedup", smoke ? 0.0 : 1.5);
+  const util::Flag flags[] = {
+      {"--smoke"}, {"--reps", "N"}, {"--min-speedup", "X"},
+      {"--min-transient-speedup", "X"}, {"--batch", "SPEC"},
+      {"--transient-batch", "SPEC"}, {"--json", "FILE"}};
+  const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
+  const bool smoke = args.has("--smoke");
+  const int reps = args.number("--reps", smoke ? 1 : 3);
+  const double min_speedup = args.number("--min-speedup", smoke ? 0.0 : 1.3);
+  const double min_tr_speedup =
+      args.number("--min-transient-speedup", smoke ? 0.0 : 1.5);
   const std::string dc_spec =
-      bench::arg_string(argc, argv, "--batch",
-                        smoke ? "grid:side=6,seed=5,vary=6"
-                              : "grid:side=13,seed=5,vary=32");
+      args.string("--batch", smoke ? "grid:side=6,seed=5,vary=6"
+                                   : "grid:side=13,seed=5,vary=32");
   const std::string tr_spec =
-      bench::arg_string(argc, argv, "--transient-batch",
-                        smoke ? "grid:side=4,seed=5,vary=4"
-                              : "grid:side=6,seed=5,vary=6");
-  const std::string json_path = bench::arg_string(argc, argv, "--json", "");
+      args.string("--transient-batch", smoke ? "grid:side=4,seed=5,vary=4"
+                                             : "grid:side=6,seed=5,vary=6");
+  const std::string json_path = args.string("--json", "");
 
   bench::banner("Cross-instance warm start: reconfiguration batches through "
                 "the ReusePool");

@@ -75,7 +75,6 @@ class AnalogSolverAdapter final : public ISolver {
     SolverCapabilities caps;
     caps.exact = false;
     caps.analog = true;
-    caps.reports_operations = true; // linear-system solve count
     // The analog delta path re-converges from the pooled operating point
     // (DcSolver::solve_warm), so it needs a ReusePool to carry state
     // between solves of one adapter — and only the steady-state method has

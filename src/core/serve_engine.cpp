@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -46,77 +45,21 @@ std::vector<std::string> tokenize(const std::string& line) {
   return out;
 }
 
-std::string tok_string(const std::vector<std::string>& t, const char* key,
-                       std::string fallback) {
-  for (size_t i = 1; i + 1 < t.size(); ++i)
-    if (t[i] == key) return t[i + 1];
-  return fallback;
-}
-
-bool tok_flag(const std::vector<std::string>& t, const char* key) {
-  for (size_t i = 1; i < t.size(); ++i)
-    if (t[i] == key) return true;
-  return false;
-}
-
-double tok_double(const std::vector<std::string>& t, const char* key,
-                  double fallback) {
-  const std::string s = tok_string(t, key, "");
-  if (s.empty()) return fallback;
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("bad numeric value for ") + key +
-                             ": '" + s + "'");
-  }
-}
-
-long long tok_ll(const std::vector<std::string>& t, const char* key,
-                 long long fallback) {
-  const std::string s = tok_string(t, key, "");
-  if (s.empty()) return fallback;
-  try {
-    return std::stoll(s);
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("bad integer value for ") + key +
-                             ": '" + s + "'");
-  }
-}
-
 /// Parses the structured reconfigure edit list: `I:C[,I:C...]` (edge
-/// index, new capacity). Order matters; a later edit to the same edge wins.
+/// index, new capacity); a later edit to the same edge wins. Edge ids are
+/// int: an index beyond that range must not wrap into a valid one.
 std::vector<flow::CapacityEdit> parse_edit_list(const std::string& spec) {
   std::vector<flow::CapacityEdit> edits;
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    const size_t comma = spec.find(',', pos);
-    const std::string item =
-        spec.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
+  for (const std::string& item : util::split(spec, ',')) {
     const size_t colon = item.find(':');
-    if (item.empty() || colon == std::string::npos || colon == 0 ||
-        colon + 1 >= item.size())
-      throw std::runtime_error("bad --edits item '" + item +
-                               "' (want EDGE:CAPACITY)");
-    flow::CapacityEdit e;
-    try {
-      // Edge ids are int: an index beyond that range must not wrap into
-      // a valid one.
-      const long long edge = std::stoll(item.substr(0, colon));
-      if (edge < std::numeric_limits<int>::min() ||
-          edge > std::numeric_limits<int>::max())
-        throw std::out_of_range("edge index");
-      e.edge = static_cast<int>(edge);
-      e.capacity = std::stod(item.substr(colon + 1));
-    } catch (const std::exception&) {
-      throw std::runtime_error("bad --edits item '" + item +
-                               "' (want EDGE:CAPACITY)");
-    }
-    edits.push_back(e);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+    const auto edge = util::parse_number<int>(item.substr(0, colon));
+    const auto capacity = util::parse_number<double>(
+        colon == std::string::npos ? "" : item.substr(colon + 1));
+    if (!edge || !capacity)
+      throw std::invalid_argument("bad --edits item '" + item +
+                                  "' (want EDGE:CAPACITY)");
+    edits.push_back({*edge, *capacity});
   }
-  if (edits.empty()) throw std::runtime_error("--edits list is empty");
   return edits;
 }
 
@@ -342,11 +285,10 @@ ServeSession::ServeSession(ServeEngine& engine, int id)
 
 ServeSession::~ServeSession() { engine_.close_session(); }
 
-util::CancelToken ServeSession::request_token(
-    const std::vector<std::string>& t) const {
-  const long long deadline_ms = tok_ll(t, "--deadline-ms", deadline_ms_);
+util::CancelToken ServeSession::request_token(const util::Args& a) const {
+  const long long deadline_ms = a.number("--deadline-ms", deadline_ms_);
   if (deadline_ms < 0)
-    throw std::runtime_error("--deadline-ms must be >= 0 (0 = no deadline)");
+    throw std::invalid_argument("--deadline-ms must be >= 0 (0 = no deadline)");
   return session_token_.child(deadline_ms);
 }
 
@@ -371,12 +313,42 @@ bool ServeSession::compose_delta_since(long long from_rev,
 
 const graph::FlowNetwork& ServeSession::require_instance() const {
   if (!current_)
-    throw std::runtime_error(
+    throw std::invalid_argument(
         "no instance loaded (send: load --input FILE | --spec SPEC)");
   return *current_;
 }
 
 std::string ServeSession::handle(const std::string& line) {
+  // The request table: one row per command, with its handler and its flags
+  // (a name plus a value label, or no label for a switch), in "known:" list
+  // order. docs/BENCH_FORMAT.md documents it (tools/check_doc_links.py).
+  using S = ServeSession;
+  struct Command {
+    std::string_view name;
+    void (S::*run)(const util::Args&, util::JsonWriter&);
+    std::vector<util::Flag> flags;
+  };
+  static const std::vector<Command> kCommands = {
+      {"load", &S::cmd_load,
+       {{"--input", "FILE.dimacs"}, {"--spec", "GENSPEC"}}},
+      {"reconfigure", &S::cmd_reconfigure,
+       {{"--edits", "I:C[,I:C...]"}, {"--seed", "K"}, {"--scale", "F"}}},
+      {"solve", &S::cmd_solve,
+       {{"--solver", "NAME"}, {"--check"}, {"--scratch"},
+        {"--deadline-ms", "N"}, {"--shards", "K"}, {"--region-solver", "NAME"},
+        {"--threads", "N"}}},
+      {"batch", &S::cmd_batch,
+       {{"--spec", "GENSPEC"}, {"--solver", "NAME"}, {"--check"}, {"--delta"},
+        {"--deadline-ms", "N"}}},
+      {"sweep", &S::cmd_sweep,
+       {{"--points", "N"}, {"--vmax", "V"}, {"--deadline-ms", "N"}}},
+      {"mincut", &S::cmd_mincut, {{"--deadline-ms", "N"}}},
+      {"deadline", &S::cmd_deadline, {{"--ms", "N"}}},
+      {"session", &S::cmd_session, {}},
+      {"stats", &S::cmd_stats, {}},
+      {"quit", &S::cmd_quit, {}},
+      {"shutdown", &S::cmd_shutdown, {}},
+  };
   const std::vector<std::string> t = tokenize(line);
   if (t.empty()) return {};
   ++requests_;
@@ -384,63 +356,27 @@ std::string ServeSession::handle(const std::string& line) {
   const std::string& cmd = t[0];
 
   try {
+    const auto row = std::ranges::find(kCommands, cmd, &Command::name);
+    if (row == kCommands.end()) {
+      std::string known;
+      for (const Command& c : kCommands) known += " " + std::string(c.name);
+      throw std::invalid_argument("unknown request '" + cmd + "' (known:" +
+                                  known + ")");
+    }
+    const util::Args args(row->flags, std::span(t).subspan(1));
     util::JsonWriter j;
     j.begin_object();
     j.field("schema", "aflow-serve-v1");
     j.field("id", requests_);
     j.field("session", id_);
     j.field("request", cmd);
-    if (cmd == "load") {
-      cmd_load(t, j);
-    } else if (cmd == "reconfigure") {
-      cmd_reconfigure(t, j);
-    } else if (cmd == "solve") {
-      cmd_solve(t, j);
-    } else if (cmd == "batch") {
-      cmd_batch(t, j);
-    } else if (cmd == "sweep") {
-      cmd_sweep(t, j);
-    } else if (cmd == "mincut") {
-      cmd_mincut(t, j);
-    } else if (cmd == "deadline") {
-      cmd_deadline(t, j);
-    } else if (cmd == "session") {
-      cmd_session(j);
-    } else if (cmd == "stats") {
-      engine_.write_stats(j);
-    } else if (cmd == "quit") {
-      done_ = true;
-      j.field("ok", true);
-    } else if (cmd == "shutdown") {
-      done_ = true;
-      engine_.request_shutdown();
-      j.field("ok", true);
-    } else {
-      throw std::runtime_error(
-          "unknown request '" + cmd +
-          "' (known: load reconfigure solve batch sweep mincut deadline "
-          "session stats quit shutdown)");
-    }
+    (this->*row->run)(args, j);
     j.end_object();
     return j.str();
   } catch (const std::exception& e) {
-    // Structured failure shape: the legacy flattened string plus the
-    // machine-readable error_info object (code / retryable / typed detail;
-    // docs/BENCH_FORMAT.md). classify_error recognises a ServeRequestError
-    // and passes its original classification through unchanged.
-    ErrorInfo info = classify_error(e);
-    if (info.message.empty()) info.message = e.what();
-    util::JsonWriter err;
-    err.begin_object();
-    err.field("schema", "aflow-serve-v1");
-    err.field("id", requests_);
-    err.field("session", id_);
-    err.field("request", cmd);
-    err.field("ok", false);
-    err.field("error", e.what());
-    write_error_info(err, info);
-    err.end_object();
-    return err.str();
+    // classify_error recognises a ServeRequestError and passes its original
+    // classification through unchanged.
+    return error_line(cmd, e.what(), classify_error(e));
   }
 }
 
@@ -449,27 +385,31 @@ std::string ServeSession::protocol_error(const std::string& message) {
   engine_.requests_.fetch_add(1);
   ErrorInfo info;
   info.code = "protocol";
-  info.retryable = false;
-  info.message = message;
+  return error_line("(transport)", message, std::move(info));
+}
+
+std::string ServeSession::error_line(const std::string& request,
+                                     const std::string& error,
+                                     ErrorInfo info) const {
+  if (info.message.empty()) info.message = error;
   util::JsonWriter j;
   j.begin_object();
   j.field("schema", "aflow-serve-v1");
   j.field("id", requests_);
   j.field("session", id_);
-  j.field("request", "(transport)");
+  j.field("request", request);
   j.field("ok", false);
-  j.field("error", message);
+  j.field("error", error);
   write_error_info(j, info);
   j.end_object();
   return j.str();
 }
 
-void ServeSession::cmd_load(const std::vector<std::string>& t,
-                            util::JsonWriter& j) {
-  const std::string input = tok_string(t, "--input", "");
-  const std::string spec = tok_string(t, "--spec", "");
+void ServeSession::cmd_load(const util::Args& a, util::JsonWriter& j) {
+  const std::string input = a.string("--input", "");
+  const std::string spec = a.string("--spec", "");
   if (input.empty() == spec.empty())
-    throw std::runtime_error("load needs exactly one of --input or --spec");
+    throw std::invalid_argument("load needs exactly one of --input or --spec");
   const std::vector<graph::FlowNetwork> instances =
       load_batch(input.empty() ? spec : input);
   base_ = instances.front();
@@ -487,24 +427,18 @@ void ServeSession::cmd_load(const std::vector<std::string>& t,
   j.field("sink", current_->sink());
 }
 
-void ServeSession::cmd_reconfigure(const std::vector<std::string>& t,
-                                   util::JsonWriter& j) {
+void ServeSession::cmd_reconfigure(const util::Args& a, util::JsonWriter& j) {
   require_instance();
-  const long long seed = tok_ll(t, "--seed", -1);
-  const bool scaled = !tok_string(t, "--scale", "").empty();
-  const double scale = tok_double(t, "--scale", 0.0);
+  const long long seed = a.number("--seed", -1LL);
+  const bool scaled = a.has("--scale");
+  const double scale = a.number("--scale", 0.0);
   if (scaled && !(scale > 0.0))
-    throw std::runtime_error("--scale must be positive");
-  const std::string edits_spec = tok_string(t, "--edits", "");
+    throw std::invalid_argument("--scale must be positive");
+  const std::string edits_spec = a.string("--edits", "");
   flow::CapacityDelta delta;
   if (!edits_spec.empty()) delta.edits = parse_edit_list(edits_spec);
-  if (tok_ll(t, "--edge", -1) >= 0)
-    // The single-edge alias was removed after its one-release deprecation
-    // window; point old clients at the structured form.
-    throw std::runtime_error(
-        "--edge I --capacity C was removed; use --edits I:C[,I:C...]");
   if (seed < 0 && !scaled && delta.empty())
-    throw std::runtime_error(
+    throw std::invalid_argument(
         "reconfigure needs --edits I:C[,I:C...], --seed K, or --scale F");
 
   // Every request form is reduced to one normalized CapacityDelta against
@@ -554,23 +488,23 @@ void ServeSession::cmd_reconfigure(const std::vector<std::string>& t,
   j.field("revision", revision_);
 }
 
-void ServeSession::cmd_solve(const std::vector<std::string>& t,
-                             util::JsonWriter& j) {
+void ServeSession::cmd_solve(const util::Args& a, util::JsonWriter& j) {
   const graph::FlowNetwork& net = require_instance();
-  const util::CancelToken token = request_token(t);
+  const util::CancelToken token = request_token(a);
 
-  const long long shards = tok_ll(t, "--shards", 0);
+  // Read every flag first, so a malformed one is refused on either path.
+  const long long shards = a.number("--shards", 0LL);
+  ShardOptions so;
+  so.shards = static_cast<int>(std::min<long long>(shards, 1 << 20));
+  so.region_solver = a.string("--region-solver", so.region_solver);
+  so.num_threads = a.number("--threads", 0);
+  so.deterministic = engine_.options().deterministic;
   if (shards >= 2) {
     // Sharded decomposition solve of the loaded instance (DESIGN.md
     // "Sharded solve"). Runs outside the bank/prior machinery on purpose:
     // the region subproblems are throwaway networks with no reuse state
     // worth pooling, and the exact result is not a valid warm prior for the
     // per-solver delta path (different backend name, different metrics).
-    ShardOptions so;
-    so.shards = static_cast<int>(std::min<long long>(shards, 1 << 20));
-    so.region_solver = tok_string(t, "--region-solver", so.region_solver);
-    so.num_threads = static_cast<int>(tok_ll(t, "--threads", 0));
-    so.deterministic = engine_.options().deterministic;
     const ShardedSolver solver(so);
     ShardReport rep;
     const flow::MaxFlowResult r = solver.solve_csr(net, &rep, token);
@@ -593,12 +527,12 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
   }
 
   const std::string name =
-      tok_string(t, "--solver", engine_.options().default_solver);
+      a.string("--solver", engine_.options().default_solver);
   ServeEngine::Bank& b = engine_.bank(name);
 
   BatchOptions bo;
   bo.solver = name;
-  bo.validate = tok_flag(t, "--check");
+  bo.validate = a.has("--check");
   bo.cancel = token;
 
   // Delta routing: ride ISolver::solve_delta when the backend is
@@ -610,7 +544,7 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
   bool delta_path = false;
   flow::CapacityDelta delta;
   const auto prior_it = priors_.find(name);
-  if (!tok_flag(t, "--scratch") && prior_it != priors_.end() &&
+  if (!a.has("--scratch") && prior_it != priors_.end() &&
       b.solver->capabilities().incremental)
     delta_path = compose_delta_since(prior_it->second.revision, delta);
 
@@ -687,27 +621,26 @@ void ServeSession::cmd_solve(const std::vector<std::string>& t,
   prior.result = std::move(out->result);
 }
 
-void ServeSession::cmd_batch(const std::vector<std::string>& t,
-                             util::JsonWriter& j) {
-  const std::string spec = tok_string(t, "--spec", "");
-  if (spec.empty()) throw std::runtime_error("batch needs --spec");
+void ServeSession::cmd_batch(const util::Args& a, util::JsonWriter& j) {
+  const std::string spec = a.string("--spec", "");
+  if (spec.empty()) throw std::invalid_argument("batch needs --spec");
+  BatchOptions bo;
+  bo.cancel = request_token(a);
   const std::string name =
-      tok_string(t, "--solver", engine_.options().default_solver);
+      a.string("--solver", engine_.options().default_solver);
   ServeEngine::Bank& b = engine_.bank(name);
 
-  BatchOptions bo;
   bo.solver = name;
-  bo.validate = tok_flag(t, "--check");
+  bo.validate = a.has("--check");
   bo.deterministic = engine_.options().deterministic;
   bo.num_threads = engine_.workers_per_bank();
-  bo.cancel = request_token(t);
   const std::vector<graph::FlowNetwork> instances = load_batch(spec);
 
   // --delta: replay the batch as a reconfiguration stream — instance 0
   // solves from scratch, instance k re-solves incrementally from k-1's
   // result across their capacity diff. Requires every instance to share
   // one topology (delta_between throws otherwise); inherently sequential.
-  const bool delta_stream = tok_flag(t, "--delta");
+  const bool delta_stream = a.has("--delta");
   BatchReport report;
   if (delta_stream) {
     std::vector<flow::CapacityDelta> deltas;
@@ -742,13 +675,12 @@ void ServeSession::cmd_batch(const std::vector<std::string>& t,
   j.end_object();
 }
 
-void ServeSession::cmd_sweep(const std::vector<std::string>& t,
-                             util::JsonWriter& j) {
+void ServeSession::cmd_sweep(const util::Args& a, util::JsonWriter& j) {
   const graph::FlowNetwork& net = require_instance();
-  const int points = static_cast<int>(tok_ll(t, "--points", 8));
-  if (points < 1) throw std::runtime_error("--points must be >= 1");
-  const double vmax = tok_double(t, "--vmax", 10.0);
-  if (!(vmax > 0.0)) throw std::runtime_error("--vmax must be positive");
+  const int points = a.number("--points", 8);
+  if (points < 1) throw std::invalid_argument("--points must be >= 1");
+  const double vmax = a.number("--vmax", 10.0);
+  if (!(vmax > 0.0)) throw std::invalid_argument("--vmax must be positive");
 
   // The substrate mapping the warm DC adapters use: topology-only MNA
   // pattern, so reconfigured capacities keep hitting the sweep pool. The
@@ -760,7 +692,7 @@ void ServeSession::cmd_sweep(const std::vector<std::string>& t,
           .map(net);
   sim::DcOptions dc_opt;
   dc_opt.ordering_cache = engine_.sweep_ordering_;
-  dc_opt.cancel = request_token(t);
+  dc_opt.cancel = request_token(a);
   sim::QuasiStaticSweep sweep(c.netlist, c.vflow_source, dc_opt,
                               engine_.sweep_pool_);
   // Ramp inside the nontrivial region (no zero point): the first point is
@@ -798,13 +730,12 @@ void ServeSession::cmd_sweep(const std::vector<std::string>& t,
   j.end_object();
 }
 
-void ServeSession::cmd_mincut(const std::vector<std::string>& t,
-                              util::JsonWriter& j) {
+void ServeSession::cmd_mincut(const util::Args& a, util::JsonWriter& j) {
   const graph::FlowNetwork& net = require_instance();
   mincut::DualCircuitOptions opt;
   opt.ordering_cache = engine_.mincut_ordering_;
   opt.reuse_pool = engine_.mincut_pool_;
-  opt.cancel = request_token(t);
+  opt.cancel = request_token(a);
   const mincut::AnalogMinCutResult r = mincut::solve_mincut_dual(net, opt);
   ++mincuts_;
   mincut_metrics_ += r;
@@ -835,17 +766,30 @@ void ServeSession::cmd_mincut(const std::vector<std::string>& t,
   j.end_object();
 }
 
-void ServeSession::cmd_deadline(const std::vector<std::string>& t,
-                                util::JsonWriter& j) {
-  const long long ms = tok_ll(t, "--ms", -1);
+void ServeSession::cmd_deadline(const util::Args& a, util::JsonWriter& j) {
+  const long long ms = a.number("--ms", -1LL);
   if (ms < 0)
-    throw std::runtime_error("deadline needs --ms N (0 clears the default)");
+    throw std::invalid_argument("deadline needs --ms N (0 clears the default)");
   deadline_ms_ = ms;
   j.field("ok", true);
   j.field("deadline_ms", deadline_ms_);
 }
 
-void ServeSession::cmd_session(util::JsonWriter& j) {
+void ServeSession::cmd_stats(const util::Args&, util::JsonWriter& j) {
+  engine_.write_stats(j);
+}
+
+void ServeSession::cmd_quit(const util::Args&, util::JsonWriter& j) {
+  done_ = true;
+  j.field("ok", true);
+}
+
+void ServeSession::cmd_shutdown(const util::Args& a, util::JsonWriter& j) {
+  engine_.request_shutdown();
+  cmd_quit(a, j);
+}
+
+void ServeSession::cmd_session(const util::Args&, util::JsonWriter& j) {
   j.field("ok", true);
   j.field("requests", requests_);
   j.field("solves", solves_);

@@ -22,24 +22,9 @@
 // (bank map, telemetry, session registry).
 //
 // Protocol: one request per line, one aflow-serve-v1 JSON response per line
-// (schema documented in docs/BENCH_FORMAT.md; `aflow serve` wires this to
-// stdin/stdout or a Unix socket via core::ServeFront):
-//
-//   load (--input FILE.dimacs | --spec GENSPEC)
-//   reconfigure (--edits I:C[,I:C...] | --seed K | --scale F)
-//   solve [--solver NAME] [--check] [--scratch] [--deadline-ms N]
-//         [--shards K [--region-solver NAME] [--threads N]]
-//                      (K >= 2: sharded decomposition solve, DESIGN.md
-//                      "Sharded solve"; skips the bank/prior machinery)
-//   batch --spec GENSPEC [--solver NAME] [--check] [--delta]
-//         [--deadline-ms N]
-//   sweep [--points N] [--vmax V] [--deadline-ms N]
-//   mincut [--deadline-ms N]
-//   deadline [--ms N]  (session default deadline; 0 clears it)
-//   session            (this connection's stats view)
-//   stats              (engine-wide stats: banks, pools, sessions)
-//   quit               (ends this session; other sessions keep serving)
-//   shutdown           (ends this session AND stops the serving front)
+// (`aflow serve` wires this to stdin/stdout or sockets via core::ServeFront).
+// ServeSession::handle's request table declares every request and its
+// flags; docs/BENCH_FORMAT.md documents that grammar and the schema.
 //
 // Reconfiguration streams ride the delta-first solver API (flow/delta.hpp):
 // every capacity mutation is recorded as a CapacityDelta in the session's
@@ -65,8 +50,6 @@
 // everything timing- or schedule-dependent (wall clock, warm/iteration
 // telemetry, pool gauges) under a trailing "telemetry" object, so a
 // session's responses are comparable bit-for-bit against a serial replay.
-// Blank lines and lines starting with '#' are ignored (empty response).
-// Malformed requests return ok:false and never terminate the engine.
 #pragma once
 
 #include <atomic>
@@ -84,6 +67,7 @@
 #include "flow/delta.hpp"
 #include "graph/network.hpp"
 #include "la/lu.hpp"
+#include "util/args.hpp"
 #include "util/cancel.hpp"
 #include "util/json.hpp"
 
@@ -152,18 +136,26 @@ class ServeSession {
   friend class ServeEngine;
   ServeSession(ServeEngine& engine, int id);
 
-  void cmd_load(const std::vector<std::string>& t, util::JsonWriter& j);
-  void cmd_reconfigure(const std::vector<std::string>& t, util::JsonWriter& j);
-  void cmd_solve(const std::vector<std::string>& t, util::JsonWriter& j);
-  void cmd_batch(const std::vector<std::string>& t, util::JsonWriter& j);
-  void cmd_sweep(const std::vector<std::string>& t, util::JsonWriter& j);
-  void cmd_mincut(const std::vector<std::string>& t, util::JsonWriter& j);
-  void cmd_deadline(const std::vector<std::string>& t, util::JsonWriter& j);
-  void cmd_session(util::JsonWriter& j);
+  void cmd_load(const util::Args& a, util::JsonWriter& j);
+  void cmd_reconfigure(const util::Args& a, util::JsonWriter& j);
+  void cmd_solve(const util::Args& a, util::JsonWriter& j);
+  void cmd_batch(const util::Args& a, util::JsonWriter& j);
+  void cmd_sweep(const util::Args& a, util::JsonWriter& j);
+  void cmd_mincut(const util::Args& a, util::JsonWriter& j);
+  void cmd_deadline(const util::Args& a, util::JsonWriter& j);
+  void cmd_session(const util::Args& a, util::JsonWriter& j);
+  void cmd_stats(const util::Args& a, util::JsonWriter& j);
+  void cmd_quit(const util::Args& a, util::JsonWriter& j);
+  void cmd_shutdown(const util::Args& a, util::JsonWriter& j);
+
+  /// One ok:false response line: the `error` string plus the error_info
+  /// object (docs/BENCH_FORMAT.md), whose message defaults to `error`.
+  std::string error_line(const std::string& request, const std::string& error,
+                         ErrorInfo info) const;
 
   /// Per-request token: child of the session token, carrying the request's
   /// `--deadline-ms` (or the session default when the flag is absent).
-  util::CancelToken request_token(const std::vector<std::string>& t) const;
+  util::CancelToken request_token(const util::Args& a) const;
 
   /// Folds one batch report into this session's counters (the engine-side
   /// bank share is folded separately by ServeEngine::absorb).

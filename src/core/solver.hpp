@@ -27,11 +27,6 @@ struct SolverCapabilities {
   bool exact = true;
   /// Models the paper's analog substrate (quantization, device physics).
   bool analog = false;
-  /// Same input always yields the same result (all current backends qualify;
-  /// future stochastic backends may not).
-  bool deterministic = true;
-  /// MaxFlowResult::operations carries a meaningful work counter.
-  bool reports_operations = true;
   /// solve_delta has a real incremental fast path: small capacity edits are
   /// re-solved in O(changed region) by carrying the prior solution, instead
   /// of the default from-scratch fallback.

@@ -7,12 +7,13 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <random>
-#include <sstream>
 #include <stdexcept>
 
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
+#include "util/args.hpp"
 
 namespace aflow::core {
 
@@ -79,9 +80,7 @@ SourceSpec parse_source(const std::string& text) {
   spec.kind = trim(text.substr(0, colon));
   if (colon == std::string::npos) return spec;
 
-  std::istringstream rest(text.substr(colon + 1));
-  std::string item;
-  while (std::getline(rest, item, ',')) {
+  for (const std::string& item : util::split(text.substr(colon + 1), ',')) {
     if (trim(item).empty()) continue;
     const auto eq = item.find('=');
     if (eq == std::string::npos)
@@ -92,15 +91,11 @@ SourceSpec parse_source(const std::string& text) {
     if (key.empty())
       throw std::invalid_argument("empty key in spec item '" + trim(item) +
                                   "' in '" + text + "'");
-    try {
-      size_t used = 0;
-      const double parsed = std::stod(value, &used);
-      if (used != value.size()) throw std::invalid_argument(value);
-      spec.params[key] = parsed;
-    } catch (const std::exception&) {
+    const std::optional<double> parsed = util::parse_number<double>(value);
+    if (!parsed)
       throw std::invalid_argument("bad numeric value in spec item '" +
                                   trim(item) + "'");
-    }
+    spec.params[key] = *parsed;
   }
   return spec;
 }
@@ -219,9 +214,7 @@ std::vector<graph::FlowNetwork> load_dimacs_dir(const std::string& dir) {
 
 std::vector<graph::FlowNetwork> generate_batch(const std::string& spec) {
   std::vector<graph::FlowNetwork> out;
-  std::istringstream in(spec);
-  std::string source;
-  while (std::getline(in, source, ';')) {
+  for (std::string source : util::split(spec, ';')) {
     source = trim(source);
     if (source.empty()) continue;
     // Each source may independently be a DIMACS file, a directory of

@@ -79,8 +79,6 @@ void FlowNetwork::set_capacity(int e, double capacity) {
 
 void FlowNetwork::validate() const {
   if (num_vertices_ < 2) throw std::invalid_argument("FlowNetwork: too few vertices");
-  if (source_ == sink_) throw std::invalid_argument("FlowNetwork: source == sink");
-  for (const Edge& e : edges_) check_edge(e);
 }
 
 Incidence incidence(const FlowNetwork& net) {

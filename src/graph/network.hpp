@@ -56,8 +56,8 @@ class FlowNetwork {
   /// only when it lowers the edge that held the maximum.
   double max_capacity() const { return max_capacity_; }
 
-  /// Throws std::invalid_argument when the instance is malformed
-  /// (bad source/sink, or an edge that add_edge would refuse).
+  /// Throws std::invalid_argument for a default-constructed network, the only
+  /// malformed one: every constructor and mutator checks what it sets.
   void validate() const;
 
   /// Returns a copy with `capacity -> f(capacity)` applied to every edge.
@@ -69,8 +69,8 @@ class FlowNetwork {
   }
 
  private:
-  /// The one edge check behind add_edge, the edge-list constructor,
-  /// set_capacity and validate.
+  /// The one edge check behind add_edge, the edge-list constructor and
+  /// set_capacity.
   void check_edge(const Edge& e) const;
 
   int num_vertices_ = 0;

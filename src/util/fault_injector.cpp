@@ -2,8 +2,11 @@
 
 #include <chrono>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+
+#include "util/args.hpp"
 
 namespace aflow::util {
 
@@ -15,30 +18,9 @@ bool fireable_from_fire(FaultInjector::Action a) {
          a == FaultInjector::Action::kDelay;
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= s.size()) {
-    const size_t at = s.find(sep, start);
-    if (at == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, at - start));
-    start = at + 1;
-  }
-  return out;
-}
-
 long long parse_ll(const std::string& s, const std::string& what) {
-  try {
-    size_t used = 0;
-    const long long v = std::stoll(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultInjector: bad " + what + " '" + s + "'");
-  }
+  if (const std::optional<long long> v = parse_number<long long>(s)) return *v;
+  throw std::invalid_argument("FaultInjector: bad " + what + " '" + s + "'");
 }
 
 } // namespace

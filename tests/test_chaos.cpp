@@ -470,19 +470,22 @@ TEST(ErrorSchema, UnknownSolverIsFatalInvalidArgument) {
 }
 
 TEST(ErrorSchema, EveryErrorResponseCarriesErrorInfo) {
+  // Each is a wrong request, so each is a fatal invalid_argument (DESIGN.md
+  // "Failure taxonomy and the degradation ladder"), never "internal".
   core::ServeEngine engine;
   const std::vector<std::string> bad = {
-      "solve",                   // no instance loaded
-      "nonsense",                // unknown request
-      "reconfigure --scale -1",  // bad argument
-      "batch",                   // missing --spec
-      "deadline",                // missing --ms
+      "solve",                    // no instance loaded
+      "nonsense",                 // unknown request
+      "reconfigure --scale -1",   // bad argument
+      "batch",                    // missing --spec
+      "deadline",                 // missing --ms
+      "reconfigure --edits nope", // malformed edit list
   };
   for (const std::string& line : bad) {
     const std::string r = engine.handle(line);
     EXPECT_TRUE(contains(r, "\"ok\":false")) << r;
     EXPECT_TRUE(contains(r, "\"error_info\":{")) << r;
-    EXPECT_TRUE(contains(r, "\"code\":")) << r;
-    EXPECT_TRUE(contains(r, "\"retryable\":")) << r;
+    EXPECT_TRUE(contains(r, "\"code\":\"invalid_argument\"")) << r;
+    EXPECT_TRUE(contains(r, "\"retryable\":false")) << r;
   }
 }

@@ -181,6 +181,18 @@ TEST(BatchEngine, IsolatesPerInstanceFailures) {
   EXPECT_DOUBLE_EQ(report.total_flow, 4.0);
 }
 
+TEST(BatchEngine, RunOneRefusesADefaultConstructedNetworkBeforeTheSolver) {
+  // FlowNetwork::validate is O(1): every constructor and mutator checks
+  // its edges, so only a default-constructed network (no vertices) is
+  // malformed. It must still be refused before a solver sees it; this
+  // solver would answer a runtime_error, classified "internal".
+  const core::InstanceOutcome out = core::BatchEngine(core::BatchOptions{})
+      .run_one(graph::FlowNetwork{}, std::make_shared<FaultInjectingSolver>());
+  EXPECT_FALSE(out.ok);
+  EXPECT_EQ(out.error_info.code, "invalid_argument") << out.error;
+  EXPECT_EQ(out.error.find("injected fault"), std::string::npos) << out.error;
+}
+
 TEST(BatchEngine, UnknownSolverThrowsBeforeRunning) {
   core::BatchOptions options;
   options.solver = "no_such_solver";

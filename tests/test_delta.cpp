@@ -816,11 +816,12 @@ TEST(ServeDelta, RequestSchemaAndDeprecationSurface) {
   EXPECT_TRUE(json_bool(edits, "ok")) << edits;
   EXPECT_EQ(json_double(edits, "edits_applied"), 2.0) << edits;
 
-  // The single-edge alias is gone (its one-release deprecation window
-  // closed): the request fails and the error points at the structured form.
+  // The single-edge alias is gone: --edge is an unknown flag, refused as a
+  // wrong request, and the refusal's known-flag list names --edits.
   const std::string legacy = engine.handle("reconfigure --edge 0 --capacity 4.5");
   EXPECT_FALSE(json_bool(legacy, "ok")) << legacy;
-  EXPECT_NE(legacy.find("removed"), std::string::npos) << legacy;
+  EXPECT_NE(legacy.find("\"code\":\"invalid_argument\""), std::string::npos)
+      << legacy;
   EXPECT_NE(legacy.find("--edits"), std::string::npos) << legacy;
 
   // The no-op-arguments error must advertise the new form...

@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/serve_engine.hpp"
@@ -414,4 +415,113 @@ TEST(ServeEngine, OversizedOrUnsatisfiableSpecsAreRefused) {
   const std::string solve = engine.handle("solve --solver dinic");
   EXPECT_TRUE(json_bool(solve, "ok")) << solve;
   EXPECT_EQ(json_ll(solve, "flow"), 90) << solve;
+}
+
+TEST(ServeEngine, EveryCommandRefusesWhatItDoesNotDeclare) {
+  // A request means exactly what it says: a flag the command does not
+  // declare, a valued flag without its value, a number with trailing
+  // characters or outside its range, a repeated flag and a stray token are
+  // each refused as a wrong request, before anything runs. The session's
+  // revision and deadline stay as they were, and the next solve answers
+  // the same flow.
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  ASSERT_TRUE(json_bool(engine.handle("load --spec grid:side=8,seed=1"), "ok"));
+  const std::string solve0 = engine.handle("solve --solver dinic");
+  ASSERT_TRUE(json_bool(solve0, "ok")) << solve0;
+  const long long rev0 = json_ll(engine.handle("session"), "revision");
+
+  const auto known_list = [](const std::string& resp) {
+    const size_t at = resp.find("(known: ");
+    EXPECT_NE(at, std::string::npos) << resp;
+    if (at == std::string::npos) return std::string();
+    return resp.substr(at + 8, resp.find(')', at) - at - 8);
+  };
+  const auto expect_refused = [&](const std::string& line) {
+    const std::string resp = engine.handle(line);
+    EXPECT_FALSE(json_bool(resp, "ok")) << line << " -> " << resp;
+    EXPECT_EQ(json_string(resp, "code"), "invalid_argument")
+        << line << " -> " << resp;
+    const std::string session = engine.handle("session");
+    EXPECT_EQ(json_ll(session, "revision"), rev0) << line;
+    EXPECT_EQ(json_ll(session, "deadline_ms"), 0) << line;
+    const std::string solve = engine.handle("solve --solver dinic");
+    EXPECT_EQ(json_ll(solve, "flow"), json_ll(solve0, "flow"))
+        << line << " -> " << solve;
+    return resp;
+  };
+
+  // Requests a parser that skips what it does not know answers by a guess
+  // (named beside each), and wrong requests that must not be "internal".
+  for (const char* line : {
+           "solve --sovler push_relabel",         // the analog default
+           "solve --solver",                      // the analog default
+           "solve --dealine-ms 5 --solver dinic", // no deadline
+           "solve --shards 2x",                   // 2 regions
+           "reconfigure --scale 2abc",            // scale 2
+           "reconfigure --edits 0:5 --seed",      // no --seed
+           "load --spec A --spec B",              // the first value
+           "solve --solver dinic --solver push_relabel", // the first value
+           "solve --solver dinic extra",          // ignores the token
+           "sweep --points 4294967297",           // wraps to one point
+           "reconfigure --edits nope",
+           "batch",
+           "solve --deadline-ms -5",
+           "frobnicate",
+       })
+    expect_refused(line);
+
+  // Every command with every flag it declares: "--flag" is a switch,
+  // "--flag=VALUE" a valued flag with a well-formed value (a number when
+  // the flag takes one). The refusals' known lists must name exactly these,
+  // so a newly declared command or flag joins the battery.
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      commands = {
+          {"load", {"--input=x.dimacs", "--spec=grid:side=4,seed=1"}},
+          {"reconfigure", {"--edits=0:5", "--seed=1", "--scale=2"}},
+          {"solve",
+           {"--solver=dinic", "--check", "--scratch", "--deadline-ms=0",
+            "--shards=2", "--region-solver=dinic", "--threads=1"}},
+          {"batch",
+           {"--spec=grid:side=4,seed=1", "--solver=dinic", "--check",
+            "--delta", "--deadline-ms=0"}},
+          {"sweep", {"--points=2", "--vmax=5", "--deadline-ms=0"}},
+          {"mincut", {"--deadline-ms=0"}},
+          {"deadline", {"--ms=0"}},
+          {"session", {}},
+          {"stats", {}},
+          {"quit", {}},
+          {"shutdown", {}},
+      };
+  std::string names;
+  for (const auto& row : commands)
+    names += (names.empty() ? "" : " ") + row.first;
+  EXPECT_EQ(known_list(expect_refused("frobnicate")), names);
+
+  for (const auto& [cmd, flags] : commands) {
+    std::string declared;
+    for (const std::string& f : flags)
+      declared += (declared.empty() ? "" : " ") + f.substr(0, f.find('='));
+    EXPECT_EQ(known_list(expect_refused(cmd + " --bogus")),
+              declared.empty() ? "none" : declared)
+        << cmd;
+    expect_refused(cmd + " extra");
+    for (const std::string& f : flags) {
+      const size_t eq = f.find('=');
+      const std::string name = f.substr(0, eq);
+      const std::string given =
+          eq == std::string::npos ? name : name + " " + f.substr(eq + 1);
+      expect_refused(cmd + " " + given + " " + given);
+      if (eq == std::string::npos) continue;
+      expect_refused(cmd + " " + name);
+      expect_refused(cmd + " " + name + " --check");
+      const std::string value = f.substr(eq + 1);
+      char* end = nullptr;
+      std::strtod(value.c_str(), &end);
+      if (*end == '\0') expect_refused(cmd + " " + name + " 2x");
+    }
+  }
+  EXPECT_FALSE(engine.done());
+  EXPECT_FALSE(engine.shutdown_requested());
 }

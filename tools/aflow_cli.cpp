@@ -1,55 +1,16 @@
-// aflow — command-line front end for the solver engine.
-//
-//   aflow solvers
-//   aflow solve --solver dinic --input x.dimacs [--check] [--expect-flow V]
-//   aflow solve --shards K --input huge.dimacs [--region-solver NAME]
-//               [--threads N] [--seed S] [--check]
-//   aflow gen --spec "gridflow:height=1000,width=1000,cap=64,seed=3"
-//             --output huge.dimacs
-//   aflow bench --solver push_relabel --batch "grid:side=31,count=64,seed=1"
-//               [--threads N] [--deterministic] [--check] [--per-instance]
-//               [--json FILE]
-//
-// `solve --shards K` is the huge-instance path (DESIGN.md "Sharded solve"):
-// the input is read into its flat edge list, then k-way region
-// decomposition, parallel region solves, and an exact refinement pass.
-// `gen` writes a generator spec as a DIMACS file; the gridflow kind streams
-// in O(1) memory, so generating a million-node instance costs no RAM.
-//
-//   aflow serve [--solver NAME] [--threads N] [--deterministic]
-//               [--pool-budget-mb M] [--listen PATH] [--tcp HOST:PORT]
-//               [--max-sessions N] [--max-line-bytes B] [--io-threads N]
-//               [--front-workers N] [--max-pipeline N] [--deadline-ms N]
-//               [--fallback NAME] [--faults SCHEDULE]
-//
-// `--deadline-ms` sets the default per-request deadline every session
-// inherits (0 = none); `--fallback` names the digital backend retryable
-// analog failures degrade to (empty disables the rung). `--faults` (or the
-// AFLOW_FAULTS environment variable) arms the deterministic fault-injection
-// schedule documented in src/util/fault_injector.hpp — the chaos battery's
-// entry point into a release binary.
-//
-// `--batch` accepts a DIMACS file, a directory of *.dimacs / *.max files, or
-// a generator spec (see src/core/workload.hpp for the grammar). `--json`
-// writes a machine-readable report (schema aflow-bench-v1: solver, instance
-// shapes, wall ms, iteration counts, refactor/warm shares) for perf-trend
-// tracking in CI. `serve` starts the long-running serving mode: newline-
-// delimited requests on stdin (one session), or — with `--listen PATH`
-// (alias `--socket`) and/or `--tcp HOST:PORT` (port 0 = kernel-assigned;
-// the bound port is printed on stderr) — an event-driven front accepting up
-// to `--max-sessions` concurrent client sessions over shared solver banks;
-// one aflow-serve-v1 JSON response per line either way. `--io-threads`,
-// `--front-workers`, and `--max-pipeline` size the front's I/O plane,
-// worker pool, and per-session pipelining limit (see
-// core/serve_front.hpp). Both schemas are documented in
-// docs/BENCH_FORMAT.md.
+// aflow — command-line front end for the solver engine. Every subcommand
+// and its flags are one row of the command table at the bottom of this
+// file; `aflow` alone prints the usage generated from it. `serve` speaks
+// the request grammar of docs/BENCH_FORMAT.md "aflow-serve-v1".
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/batch_engine.hpp"
@@ -66,32 +27,6 @@
 namespace {
 
 using namespace aflow;
-using util::arg_flag;
-using util::arg_int;
-using util::arg_string;
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  aflow solvers\n"
-      "  aflow solve --solver NAME --input FILE.dimacs [--check] "
-      "[--expect-flow V]\n"
-      "  aflow solve --shards K --input FILE.dimacs [--region-solver NAME]\n"
-      "              [--threads N] [--seed S] [--check] [--expect-flow V]\n"
-      "  aflow gen --spec GENSPEC --output FILE.dimacs\n"
-      "  aflow bench --solver NAME --batch SPEC_OR_PATH [--threads N]\n"
-      "              [--deterministic] [--check] [--per-instance] "
-      "[--json FILE]\n"
-      "  aflow serve [--solver NAME] [--threads N] [--deterministic]\n"
-      "              [--pool-budget-mb M] [--listen PATH] [--tcp HOST:PORT]\n"
-      "              [--max-sessions N] [--max-line-bytes B] "
-      "[--io-threads N]\n"
-      "              [--front-workers N] [--max-pipeline N] "
-      "[--deadline-ms N]\n"
-      "              [--fallback NAME] [--faults SCHEDULE]\n");
-  return 2;
-}
 
 /// Machine-readable batch report (schema aflow-bench-v1), shared shape with
 /// the gated benches so one consumer can track the whole perf trajectory.
@@ -151,7 +86,7 @@ void write_bench_json(const std::string& path, const std::string& batch,
   util::write_json_file(path, j.str());
 }
 
-int cmd_solvers() {
+int cmd_solvers(const util::Args&) {
   for (const std::string& name : core::SolverRegistry::instance().names()) {
     const auto solver = core::SolverRegistry::instance().create(name);
     const auto caps = solver->capabilities();
@@ -162,23 +97,16 @@ int cmd_solvers() {
   return 0;
 }
 
-/// `solve --shards K`: read the instance into its flat edge list (16 bytes
-/// per edge) and run the sharded decomposition solver on it; the only
-/// per-vertex structures are the partition's and the refinement
-/// residual's.
-int cmd_solve_sharded(int argc, char** argv, const std::string& input,
-                      int shards) {
-  core::ShardOptions options;
-  options.shards = shards;
-  options.region_solver =
-      arg_string(argc, argv, "--region-solver", options.region_solver);
-  options.num_threads = arg_int(argc, argv, "--threads", 0);
-  options.seed = static_cast<std::uint64_t>(arg_int(argc, argv, "--seed", 1));
-
-  const graph::FlowNetwork net = graph::read_dimacs_file(input);
+/// `solve --shards K` (K >= 2): the sharded decomposition solver on the
+/// instance's flat edge list (16 bytes per edge); the only per-vertex
+/// structures are the partition's and the refinement residual's
+/// (DESIGN.md "Sharded solve").
+flow::MaxFlowResult solve_sharded(const core::ShardOptions& options,
+                                  const graph::FlowNetwork& net,
+                                  const std::string& input) {
   const core::ShardedSolver solver(options);
   core::ShardReport rep;
-  const flow::MaxFlowResult result = solver.solve_csr(net, &rep);
+  flow::MaxFlowResult result = solver.solve_csr(net, &rep);
 
   std::printf("instance:  %s (%d vertices, %d edges)\n", input.c_str(),
               net.num_vertices(), net.num_edges());
@@ -196,91 +124,82 @@ int cmd_solve_sharded(int argc, char** argv, const std::string& input,
               "refine %.3f ms\n",
               rep.partition_seconds * 1e3, rep.region_seconds * 1e3,
               rep.stitch_seconds * 1e3, rep.refine_seconds * 1e3);
-
-  if (arg_flag(argc, argv, "--check")) {
-    const std::string err = flow::check_flow(net, result);
-    if (!err.empty()) {
-      std::fprintf(stderr, "FAIL: %s\n", err.c_str());
-      return 1;
-    }
-    std::printf("check:     feasible\n");
-  }
-
-  const std::string expect = arg_string(argc, argv, "--expect-flow", "");
-  if (!expect.empty()) {
-    const double want = std::stod(expect);
-    if (std::abs(result.flow_value - want) > 1e-6 * std::max(1.0, want)) {
-      std::fprintf(stderr, "FAIL: expected flow %.10g, got %.10g\n", want,
-                   result.flow_value);
-      return 1;
-    }
-  }
-  return 0;
+  return result;
 }
 
-int cmd_solve(int argc, char** argv) {
-  const std::string input = arg_string(argc, argv, "--input", "");
-  if (input.empty()) return usage();
-
-  const int shards = arg_int(argc, argv, "--shards", 0);
-  if (shards >= 2) return cmd_solve_sharded(argc, argv, input, shards);
-
-  const std::string solver_name = arg_string(argc, argv, "--solver", "dinic");
+int cmd_solve(const util::Args& a) {
+  const std::string input = a.string("--input", "");
+  if (input.empty()) a.refuse("solve needs --input FILE.dimacs");
+  core::ShardOptions shard;
+  shard.shards = a.number("--shards", 0);
+  shard.region_solver = a.string("--region-solver", shard.region_solver);
+  shard.num_threads = a.number("--threads", 0);
+  shard.seed = a.number("--seed", shard.seed);
+  const std::string solver_name = a.string("--solver", "dinic");
+  const double want = a.number("--expect-flow", 0.0);
 
   const graph::FlowNetwork net = graph::read_dimacs_file(input);
-  const auto solver = core::SolverRegistry::instance().create(solver_name);
-  const flow::MaxFlowResult result = solver->solve(net);
+  flow::MaxFlowResult result;
+  if (shard.shards >= 2) {
+    result = solve_sharded(shard, net, input);
+  } else {
+    const auto solver = core::SolverRegistry::instance().create(solver_name);
+    result = solver->solve(net);
+    std::printf("instance: %s (%d vertices, %d edges)\n", input.c_str(),
+                net.num_vertices(), net.num_edges());
+    std::printf("solver:   %s\n", solver->name().c_str());
+    std::printf("flow:     %.10g\n", result.flow_value);
+    std::printf("ops:      %lld\n", result.operations);
+  }
 
-  std::printf("instance: %s (%d vertices, %d edges)\n", input.c_str(),
-              net.num_vertices(), net.num_edges());
-  std::printf("solver:   %s\n", solver->name().c_str());
-  std::printf("flow:     %.10g\n", result.flow_value);
-  std::printf("ops:      %lld\n", result.operations);
-
-  if (arg_flag(argc, argv, "--check")) {
+  if (a.has("--check")) {
     const std::string err = flow::check_flow(net, result);
     if (!err.empty()) {
       std::fprintf(stderr, "FAIL: %s\n", err.c_str());
       return 1;
     }
-    std::printf("check:    feasible\n");
+    // The verdict lines up with the report's label column.
+    std::printf("%-*sfeasible\n", shard.shards >= 2 ? 11 : 10, "check:");
   }
-
-  const std::string expect = arg_string(argc, argv, "--expect-flow", "");
-  if (!expect.empty()) {
-    const double want = std::stod(expect);
-    if (std::abs(result.flow_value - want) > 1e-6 * std::max(1.0, want)) {
-      std::fprintf(stderr, "FAIL: expected flow %.10g, got %.10g\n", want,
-                   result.flow_value);
-      return 1;
-    }
+  if (a.has("--expect-flow") &&
+      std::abs(result.flow_value - want) > 1e-6 * std::max(1.0, want)) {
+    std::fprintf(stderr, "FAIL: expected flow %.10g, got %.10g\n", want,
+                 result.flow_value);
+    return 1;
   }
   return 0;
 }
 
-int cmd_gen(int argc, char** argv) {
-  const std::string spec = arg_string(argc, argv, "--spec", "");
-  const std::string output = arg_string(argc, argv, "--output", "");
-  if (spec.empty() || output.empty()) return usage();
+/// `gen`: writes a generator spec as a DIMACS file; the gridflow kind
+/// streams in O(1) memory, so a million-node instance costs no RAM.
+int cmd_gen(const util::Args& a) {
+  const std::string spec = a.string("--spec", "");
+  const std::string output = a.string("--output", "");
+  if (spec.empty() || output.empty())
+    a.refuse("gen needs --spec GENSPEC and --output FILE.dimacs");
   core::write_spec_dimacs(spec, output);
   std::printf("wrote %s (%s)\n", output.c_str(), spec.c_str());
   return 0;
 }
 
-int cmd_bench(int argc, char** argv) {
-  const std::string batch = arg_string(argc, argv, "--batch", "");
-  if (batch.empty()) return usage();
+/// `bench`: one BatchEngine run over `--batch`, which accepts a DIMACS
+/// file, a directory of *.dimacs / *.max files, or a generator spec
+/// (src/core/workload.hpp). `--json` writes the aflow-bench-v1 report.
+int cmd_bench(const util::Args& a) {
+  const std::string batch = a.string("--batch", "");
+  if (batch.empty()) a.refuse("bench needs --batch SPEC_OR_PATH");
 
   core::BatchOptions options;
-  options.solver = arg_string(argc, argv, "--solver", "dinic");
-  options.num_threads = arg_int(argc, argv, "--threads", 0);
-  options.deterministic = arg_flag(argc, argv, "--deterministic");
-  options.validate = arg_flag(argc, argv, "--check");
+  options.solver = a.string("--solver", "dinic");
+  options.num_threads = a.number("--threads", 0);
+  options.deterministic = a.has("--deterministic");
+  options.validate = a.has("--check");
+  const std::string json_path = a.string("--json", "");
 
   const auto instances = core::load_batch(batch);
   const core::BatchReport report = core::BatchEngine(options).run(instances);
 
-  if (arg_flag(argc, argv, "--per-instance")) {
+  if (a.has("--per-instance")) {
     for (const core::InstanceOutcome& out : report.outcomes) {
       if (out.ok)
         std::printf("[%4d] flow %.10g  (%.3f ms)\n", out.index,
@@ -311,7 +230,6 @@ int cmd_bench(int argc, char** argv) {
                 report.warm_started_instances, report.outcomes.size(),
                 report.metrics.warm_iterations, report.metrics.cold_iterations);
 
-  const std::string json_path = arg_string(argc, argv, "--json", "");
   if (!json_path.empty()) {
     write_bench_json(json_path, batch, options, instances, report);
     std::printf("json:       %s\n", json_path.c_str());
@@ -319,25 +237,41 @@ int cmd_bench(int argc, char** argv) {
   return report.failed == 0 ? 0 : 1;
 }
 
-int cmd_serve(int argc, char** argv) {
+/// `serve`: newline-delimited requests on stdin (one session), or, with
+/// `--listen PATH` and/or `--tcp HOST:PORT` (port 0: kernel-assigned), the
+/// event-driven front (core/serve_front.hpp) serving up to
+/// `--max-sessions` concurrent sessions over shared solver banks.
+int cmd_serve(const util::Args& a) {
   core::ServeOptions options;
-  options.default_solver =
-      arg_string(argc, argv, "--solver", options.default_solver);
-  options.num_threads = arg_int(argc, argv, "--threads", 0);
-  options.deterministic = arg_flag(argc, argv, "--deterministic");
-  options.max_sessions =
-      arg_int(argc, argv, "--max-sessions", options.max_sessions);
-  const double budget_mb = util::arg_double(argc, argv, "--pool-budget-mb", 64.0);
+  options.default_solver = a.string("--solver", options.default_solver);
+  options.num_threads = a.number("--threads", 0);
+  options.deterministic = a.has("--deterministic");
+  options.max_sessions = a.number("--max-sessions", options.max_sessions);
+  const double budget_mb = a.number("--pool-budget-mb", 64.0);
   options.pool_byte_budget =
       budget_mb <= 0.0 ? 0 : static_cast<size_t>(budget_mb * (1 << 20));
-  options.default_deadline_ms = arg_int(argc, argv, "--deadline-ms", 0);
-  options.fallback_solver =
-      arg_string(argc, argv, "--fallback", options.fallback_solver);
+  options.default_deadline_ms = a.number("--deadline-ms", 0LL);
+  if (options.default_deadline_ms < 0)
+    a.refuse("--deadline-ms must be >= 0 (0 = no deadline)");
+  options.fallback_solver = a.string("--fallback", options.fallback_solver);
 
-  // Chaos hook: arm the deterministic fault schedule before any worker
-  // exists (FaultInjector::arm is not safe against concurrent fire()).
-  // The flag wins over the environment variable.
-  std::string faults = arg_string(argc, argv, "--faults", "");
+  const std::string socket_path = a.string("--listen", "");
+  const std::string tcp_address = a.string("--tcp", "");
+  core::ServeFrontOptions front_options;
+  front_options.socket_path = socket_path;
+  front_options.tcp_address = tcp_address;
+  const int max_line = a.number("--max-line-bytes", 0);
+  if (max_line > 0) front_options.max_line_bytes = static_cast<size_t>(max_line);
+  front_options.io_threads = a.number("--io-threads", front_options.io_threads);
+  front_options.workers = a.number("--front-workers", front_options.workers);
+  front_options.max_pipeline =
+      a.number("--max-pipeline", front_options.max_pipeline);
+
+  // Chaos hook: arm the deterministic fault schedule (the grammar is in
+  // src/util/fault_injector.hpp) before any worker exists
+  // (FaultInjector::arm is not safe against concurrent fire()). The flag
+  // wins over the AFLOW_FAULTS environment variable.
+  std::string faults = a.string("--faults", "");
   if (faults.empty())
     if (const char* env = std::getenv("AFLOW_FAULTS")) faults = env;
   if (!faults.empty()) {
@@ -348,27 +282,9 @@ int cmd_serve(int argc, char** argv) {
 
   core::ServeEngine engine(options);
 
-  // `--listen` is the multi-session socket front; `--socket` kept as the
-  // PR-4 spelling of the same thing. `--tcp HOST:PORT` adds (or is) the
-  // network transport — both listeners may run at once, sharing the one
-  // event-driven front.
-  const std::string socket_path = arg_string(
-      argc, argv, "--listen", arg_string(argc, argv, "--socket", ""));
-  const std::string tcp_address = arg_string(argc, argv, "--tcp", "");
+  // Both listeners may run at once, sharing the one event-driven front.
   if (!socket_path.empty() || !tcp_address.empty()) {
 #ifndef _WIN32
-    core::ServeFrontOptions front_options;
-    front_options.socket_path = socket_path;
-    front_options.tcp_address = tcp_address;
-    const int max_line = arg_int(argc, argv, "--max-line-bytes", 0);
-    if (max_line > 0)
-      front_options.max_line_bytes = static_cast<size_t>(max_line);
-    front_options.io_threads =
-        arg_int(argc, argv, "--io-threads", front_options.io_threads);
-    front_options.workers =
-        arg_int(argc, argv, "--front-workers", front_options.workers);
-    front_options.max_pipeline =
-        arg_int(argc, argv, "--max-pipeline", front_options.max_pipeline);
     core::ServeFront front(engine, front_options);
     front.start();
     if (!socket_path.empty())
@@ -404,20 +320,52 @@ int cmd_serve(int argc, char** argv) {
   return 0;
 }
 
+/// The command table: each row is one subcommand, its handler and its
+/// flags (a name plus a value label, or no label for a switch).
+struct Command {
+  std::string_view name;
+  int (*run)(const util::Args&);
+  std::vector<util::Flag> flags;
+};
+
+const Command kCommands[] = {
+    {"solvers", cmd_solvers, {}},
+    {"solve", cmd_solve,
+     {{"--input", "FILE.dimacs"}, {"--solver", "NAME"}, {"--check"},
+      {"--expect-flow", "V"}, {"--shards", "K"}, {"--region-solver", "NAME"},
+      {"--threads", "N"}, {"--seed", "S"}}},
+    {"gen", cmd_gen, {{"--spec", "GENSPEC"}, {"--output", "FILE.dimacs"}}},
+    {"bench", cmd_bench,
+     {{"--batch", "SPEC_OR_PATH"}, {"--solver", "NAME"}, {"--threads", "N"},
+      {"--deterministic"}, {"--check"}, {"--per-instance"}, {"--json", "FILE"}}},
+    {"serve", cmd_serve,
+     {{"--solver", "NAME"}, {"--threads", "N"}, {"--deterministic"},
+      {"--pool-budget-mb", "M"}, {"--listen", "PATH"}, {"--tcp", "HOST:PORT"},
+      {"--max-sessions", "N"}, {"--max-line-bytes", "B"},
+      {"--io-threads", "N"}, {"--front-workers", "N"}, {"--max-pipeline", "N"},
+      {"--deadline-ms", "N"}, {"--fallback", "NAME"},
+      {"--faults", "SCHEDULE"}}},
+};
+
 } // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
+  const std::string_view cmd = argc >= 2 ? argv[1] : "";
+  const auto row = std::ranges::find(kCommands, cmd, &Command::name);
+  if (row == std::end(kCommands)) {
+    if (argc >= 2) std::fprintf(stderr, "error: unknown command '%s'\n", argv[1]);
+    std::fprintf(stderr, "usage:\n");
+    for (const Command& c : kCommands)
+      std::fprintf(stderr, "%s\n",
+                   util::usage_line("  aflow " + std::string(c.name), c.flags)
+                       .c_str());
+    return 2;
+  }
   try {
-    if (cmd == "solvers") return cmd_solvers();
-    if (cmd == "solve") return cmd_solve(argc, argv);
-    if (cmd == "gen") return cmd_gen(argc, argv);
-    if (cmd == "bench") return cmd_bench(argc, argv);
-    if (cmd == "serve") return cmd_serve(argc, argv);
+    return row->run(util::parse_argv("aflow " + std::string(row->name),
+                                     row->flags, argc - 1, argv + 1));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage();
 }

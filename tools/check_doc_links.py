@@ -27,6 +27,13 @@ a per-failure report if any dangles:
    row's first cell). A table that is missing or has no ``X(name)`` rows
    fails the check too.
 
+4. Serve requests. Every row of the request table
+   (``kCommands`` in ``ServeSession::handle``, ``src/core/serve_engine.cpp``:
+   a request's name, handler and flags) must be a line of the request-grammar
+   block of ``docs/BENCH_FORMAT.md`` naming every flag of that row, and the
+   block may name no request or flag the table lacks. A missing table
+   fails the check too.
+
 Stdlib only; run from anywhere inside the repo.
 """
 import re
@@ -44,6 +51,7 @@ COUNTER_TABLES = {
     "AFLOW_FRONT_COUNTERS": REPO / "src" / "core" / "serve_front.hpp",
 }
 METRICS_DOC = REPO / "docs" / "BENCH_FORMAT.md"
+SERVE_TABLE = REPO / "src" / "core" / "serve_engine.cpp"
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CITATION = re.compile(
@@ -128,9 +136,68 @@ def check_counter_tables(failures):
                     f"({macro} in {rel}) has no table row")
 
 
+def serve_table():
+    """{request: [flags]} from the rows of serve's kCommands table, or None
+    when the table is missing."""
+    text = SERVE_TABLE.read_text(encoding="utf-8")
+    table = re.search(r"kCommands = \{(.*?)\n\s*\};", text, re.S)
+    if not table:
+        return None
+    rows = list(re.finditer(r'\{"(\w+)",\s*&\w+::\w+', table.group(1)))
+    return {
+        row.group(1): re.findall(
+            r'\{"(--[\w-]+)"',
+            table.group(1)[row.end():rows[i + 1].start() if i + 1 < len(rows)
+                           else None])
+        for i, row in enumerate(rows)}
+
+
+def serve_grammar(md_path):
+    """{request: {flags}} from the first fenced block after "Request grammar"
+    (a line per request; indented lines continue the one above)."""
+    text = md_path.read_text(encoding="utf-8")
+    block = re.search(r"Request grammar[^\n]*\n+```\n(.*?)```", text, re.S)
+    grammar, request = {}, None
+    for line in block.group(1).splitlines() if block else []:
+        if line and not line[0].isspace():
+            request = line.split()[0]
+            grammar[request] = set()
+        if request:
+            grammar[request].update(re.findall(r"--[\w-]+", line))
+    return grammar
+
+
+def check_serve_grammar(failures):
+    table = serve_table()
+    doc = METRICS_DOC.relative_to(REPO)
+    if not table:
+        failures.append(f"{SERVE_TABLE.relative_to(REPO)}: no kCommands "
+                        f"request table found")
+        return
+    grammar = serve_grammar(METRICS_DOC)
+    for request, flags in table.items():
+        if request not in grammar:
+            failures.append(f"{doc}: serve request `{request}` has no "
+                            f"request-grammar line")
+            continue
+        for flag in flags:
+            if flag not in grammar[request]:
+                failures.append(f"{doc}: `{request} {flag}` is missing from "
+                                f"the request grammar")
+    for request, flags in grammar.items():
+        if request not in table:
+            failures.append(f"{doc}: the request grammar names `{request}`, "
+                            f"which the request table lacks")
+            continue
+        for flag in sorted(flags - set(table[request])):
+            failures.append(f"{doc}: the request grammar names `{request} "
+                            f"{flag}`, which the request table lacks")
+
+
 def main():
     failures = []
     check_counter_tables(failures)
+    check_serve_grammar(failures)
 
     for md in md_files():
         rel = md.relative_to(REPO)
@@ -174,7 +241,8 @@ def main():
             print(f"  {f}")
         return 1
     print("check_doc_links: all markdown links and doc citations resolve, "
-          "and every telemetry counter is documented.")
+          "every telemetry counter is documented, and the serve request "
+          "grammar matches the request table.")
     return 0
 
 

@@ -132,7 +132,8 @@ def run_reconfigure_stream(target):
     edmonds_karp, which has no incremental path and its own bank. Each
     incremental backend thus takes consecutive delta steps from its kept
     residual; one step asks for `--check`. Also probes the removed
-    `--edge/--capacity` alias for its pointer at the structured form.
+    `--edge/--capacity` alias: an unknown flag, refused as a wrong request
+    whose known-flag list names `--edits`.
     """
     client = Client(target)
     doc = client.request("load --spec grid:side=6,seed=2")
@@ -177,7 +178,8 @@ def run_reconfigure_stream(target):
 
     doc = client.request("reconfigure --edge 0 --capacity 4.5")
     assert doc["ok"] is False, doc
-    assert "removed" in doc["error"] and "--edits" in doc["error"], doc
+    assert doc["error_info"]["code"] == "invalid_argument", doc
+    assert "--edits" in doc["error"], doc
 
     client.request("quit")
     client.close()
