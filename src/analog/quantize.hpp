@@ -26,8 +26,6 @@ class Quantizer {
   double to_voltage(double capacity) const;
   /// Circuit voltage -> flow units.
   double to_flow(double voltage) const { return voltage * max_capacity_ / vdd_; }
-  /// Flow units -> volts (for comparisons).
-  double to_volts(double flow) const { return flow * vdd_ / max_capacity_; }
 
   /// Worst-case per-edge quantization error e = C / N (Sec. 4.1).
   double worst_case_error() const;

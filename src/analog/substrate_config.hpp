@@ -93,12 +93,6 @@ struct SubstrateConfig {
   circuit::OpAmpParams opamp_params() const {
     return {opamp_gain, opamp_gbw, opamp_rout, opamp_v_rail};
   }
-  circuit::MemristorParams memristor_params() const {
-    circuit::MemristorParams p;
-    p.r_lrs = lrs_resistance;
-    p.r_hrs = hrs_resistance;
-    return p;
-  }
 };
 
 } // namespace aflow::analog

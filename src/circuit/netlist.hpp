@@ -149,8 +149,6 @@ class Netlist {
   const std::vector<Memristor>& memristors() const { return memristors_; }
 
   void set_vsource_value(int id, double volts) { vsources_[id].value = volts; }
-  void set_isource_value(int id, double amps) { isources_[id].value = amps; }
-  void set_memristance(int id, double ohms) { memristors_[id].memristance = ohms; }
   Memristor& memristor(int id) { return memristors_[id]; }
   void set_resistance(int id, double ohms) { resistors_[id].resistance = ohms; }
   void set_negative_resistor_magnitude(int id, double ohms) {

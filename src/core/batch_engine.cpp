@@ -37,7 +37,7 @@ void run_instance(const BatchOptions& options, InstanceOutcome& out,
     out.result = solve(g);
     if (options.validate) {
       const std::string err = flow::check_flow(g, out.result);
-      if (!err.empty()) throw std::runtime_error("infeasible flow: " + err);
+      if (!err.empty()) throw std::runtime_error("flow check failed: " + err);
     }
     out.ok = true;
   } catch (const std::exception& e) {

@@ -25,7 +25,8 @@ struct BatchOptions {
   /// sessions get reproducible scheduling and clean stack traces.
   bool deterministic = false;
   /// Run flow::check_flow on every solution; a violation marks the instance
-  /// failed instead of silently returning an infeasible flow.
+  /// failed instead of silently returning an infeasible or non-maximum
+  /// flow.
   bool validate = false;
   /// Cooperative cancellation for the whole batch: checked at every
   /// work-item claim and threaded into each solve. A tripped token fails

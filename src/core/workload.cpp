@@ -212,9 +212,9 @@ std::vector<graph::FlowNetwork> load_dimacs_dir(const std::string& dir) {
   return out;
 }
 
-std::vector<graph::FlowNetwork> generate_batch(const std::string& spec) {
+std::vector<graph::FlowNetwork> load_batch(const std::string& spec_or_path) {
   std::vector<graph::FlowNetwork> out;
-  for (std::string source : util::split(spec, ';')) {
+  for (std::string source : util::split(spec_or_path, ';')) {
     source = trim(source);
     if (source.empty()) continue;
     // Each source may independently be a DIMACS file, a directory of
@@ -230,12 +230,9 @@ std::vector<graph::FlowNetwork> generate_batch(const std::string& spec) {
     for (auto& net : part) out.push_back(std::move(net));
   }
   if (out.empty())
-    throw std::invalid_argument("empty workload spec: '" + spec + "'");
+    throw std::invalid_argument("empty workload spec: '" + spec_or_path +
+                                "'");
   return out;
-}
-
-std::vector<graph::FlowNetwork> load_batch(const std::string& spec_or_path) {
-  return generate_batch(spec_or_path);
 }
 
 void write_spec_dimacs(const std::string& spec, const std::string& path) {
@@ -262,7 +259,7 @@ void write_spec_dimacs(const std::string& spec, const std::string& path) {
     }
   }
 
-  const std::vector<graph::FlowNetwork> nets = generate_batch(source);
+  const std::vector<graph::FlowNetwork> nets = load_batch(source);
   if (nets.size() != 1)
     throw std::invalid_argument(
         "write_spec_dimacs: spec expands to " + std::to_string(nets.size()) +

@@ -33,13 +33,9 @@ namespace aflow::core {
 std::vector<graph::FlowNetwork> load_dimacs_dir(const std::string& dir);
 
 /// Expands a workload spec (grammar above): each ';'-separated source is a
-/// DIMACS file, a directory of instances, or a generator spec. Throws
-/// std::invalid_argument on unknown kinds, unknown keys, or malformed
-/// key=value lists.
-std::vector<graph::FlowNetwork> generate_batch(const std::string& spec);
-
-/// Synonym for generate_batch, kept as the entry-point name used by callers
-/// that may pass either a bare path or a spec.
+/// DIMACS file, a directory of instances, or a generator spec, so a bare
+/// path is a spec too. Throws std::invalid_argument on unknown kinds,
+/// unknown keys, or malformed key=value lists.
 std::vector<graph::FlowNetwork> load_batch(const std::string& spec_or_path);
 
 /// Writes the single instance described by `spec` (one source, count=1) as a

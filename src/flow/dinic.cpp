@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "flow/maxflow.hpp"
 #include "flow/residual.hpp"
@@ -12,11 +11,19 @@ namespace {
 /// Blocking-flow augmenter over an externally owned residual, so the cold
 /// solve (fresh residual) and the incremental delta path (carried residual,
 /// flow/delta.hpp) share one implementation.
+///
+/// A vertex's level is its residual distance to the sink: each phase's BFS
+/// starts at t and follows arcs whose reverse has residual capacity, and
+/// stops before expanding any vertex at the source's level. So at the start
+/// of a phase every levelled vertex has a residual arc one level closer to
+/// t, and the descent from s reaches t without backtracking until arcs
+/// saturate. The phases are still Dinic's shortest-path blocking flows.
 class DinicSolver {
  public:
   DinicSolver(detail::Residual& r, int s, int t,
               const util::CancelToken& cancel)
-      : r_(r), s_(s), t_(t), cancel_(cancel), level_(r.n), it_(r.n) {}
+      : r_(r), s_(s), t_(t), cancel_(cancel), level_(r.n), it_(r.n),
+        queue_(r.n) {}
 
   double augment(long long& ops) {
     double added = 0.0;
@@ -35,31 +42,34 @@ class DinicSolver {
   }
 
  private:
+  /// Levels every vertex within the source's residual distance of t by that
+  /// distance (-1 elsewhere); returns whether s is levelled. Vertices pop in
+  /// level order, so the first pop at the source's level ends the search.
   bool bfs_levels() {
     std::fill(level_.begin(), level_.end(), -1);
-    level_[s_] = 0;
-    std::queue<int> q;
-    q.push(s_);
-    while (!q.empty()) {
-      const int v = q.front();
-      q.pop();
+    level_[t_] = 0;
+    queue_[0] = t_;
+    for (int head = 0, tail = 1; head < tail; ++head) {
+      const int v = queue_[head];
+      if (level_[v] == level_[s_]) break; // popped levels are >= 0
       for (int arc : r_.arcs(v)) {
         const int u = r_.head[arc];
-        if (level_[u] == -1 && r_.cap[arc] > 0.0) {
+        if (level_[u] == -1 && r_.cap[r_.rev(arc)] > 0.0) {
           level_[u] = level_[v] + 1;
-          q.push(u);
+          queue_[tail++] = u;
         }
       }
     }
-    return level_[t_] >= 0;
+    return level_[s_] >= 0;
   }
 
   /// Finds and saturates one s-t path of the level graph by a depth-first
   /// descent along current arcs; returns its bottleneck, or 0 when s has no
   /// path left this phase. The path is an explicit arc stack, so a deep
   /// instance (a long path graph) costs heap, not call stack. A dead end
-  /// retires its vertex for the phase (level -1) and advances its parent's
-  /// current arc; a found path leaves every current arc in place.
+  /// retires its vertex for the phase (level -1, which no descent seeks) and
+  /// advances its parent's current arc; a found path leaves every current
+  /// arc in place.
   double augment_path() {
     path_.clear();
     int v = s_;
@@ -68,7 +78,7 @@ class DinicSolver {
       int& i = it_[v];
       while (i < static_cast<int>(arcs.size()) &&
              (r_.cap[arcs[i]] <= 0.0 ||
-              level_[r_.head[arcs[i]]] != level_[v] + 1))
+              level_[r_.head[arcs[i]]] != level_[v] - 1))
         ++i;
       if (i < static_cast<int>(arcs.size())) {
         path_.push_back(arcs[i]);
@@ -95,7 +105,8 @@ class DinicSolver {
   util::CancelToken cancel_;
   std::vector<int> level_;
   std::vector<int> it_;
-  std::vector<int> path_; // arcs of the current descent, s first
+  std::vector<int> queue_; // the BFS queue: every vertex enters it once
+  std::vector<int> path_;  // arcs of the current descent, s first
 };
 
 } // namespace

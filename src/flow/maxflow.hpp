@@ -2,9 +2,10 @@
 //
 // `push_relabel` (FIFO active list, gap heuristic, global relabels that
 // also refresh heights mid-pass, parking at height n) is the paper's CPU
-// baseline (Goldberg-Tarjan); `dinic` and `edmonds_karp` serve as
-// independent cross-checks and alternative baselines. All solvers return
-// per-edge flows so the analog solution can be compared edge-wise.
+// baseline (Goldberg-Tarjan); `dinic` (blocking flows over levels that are
+// residual distances to the sink) and `edmonds_karp` serve as independent
+// cross-checks and alternative baselines. All solvers return per-edge flows
+// so the analog solution can be compared edge-wise.
 #pragma once
 
 #include <vector>
@@ -108,15 +109,20 @@ struct MinCutResult {
   std::vector<int> cut_edges;
 };
 
-/// Computes the min cut from a max flow via residual reachability.
+/// Computes the min cut from a max flow via residual reachability: an arc is
+/// residual above 1e-9 times max(1, largest capacity).
 MinCutResult min_cut_from_flow(const graph::FlowNetwork& net,
                                const MaxFlowResult& flow);
 
-/// Verifies that `result` is a feasible flow on `net`: capacity bounds and
-/// conservation hold to within `tol`, and flow_value matches the net
-/// source outflow; a NaN or infinite flow value or edge flow fails. Returns
-/// an empty string when valid, otherwise a human-readable description of
-/// the first violation.
+/// Verifies that `result` is a maximum flow on `net`, in two halves. The
+/// feasibility half: capacity bounds and conservation hold to within `tol`,
+/// and flow_value matches the net source outflow; a NaN or infinite flow
+/// value or edge flow fails. The min-cut half: the residual search of
+/// min_cut_from_flow does not reach the sink, and the capacity leaving the
+/// set it reaches equals flow_value to within `tol` times max(1, largest
+/// capacity). Returns an empty string when valid, otherwise a
+/// human-readable description of the first violation, prefixed
+/// "infeasible: " or "not maximum: " by the half that failed.
 std::string check_flow(const graph::FlowNetwork& net, const MaxFlowResult& result,
                        double tol = 1e-9);
 

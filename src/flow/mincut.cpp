@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <queue>
 #include <sstream>
@@ -62,16 +63,17 @@ std::string check_flow(const graph::FlowNetwork& net, const MaxFlowResult& resul
   if (static_cast<int>(result.edge_flow.size()) != net.num_edges())
     return "edge_flow size mismatch";
 
-  // One accumulator pass over the edge list: capacity bounds per edge and
-  // the net outflow of every vertex. Every comparison is written to fail on
-  // NaN, and an infinite flow fails the bounds or the value check, so a
-  // non-finite result is never reported feasible.
+  // The feasibility half. One accumulator pass over the edge list:
+  // capacity bounds per edge and the net outflow of every vertex. Every
+  // comparison is written to fail on NaN, and an infinite flow fails the
+  // bounds or the value check, so a non-finite result is never reported
+  // feasible.
   std::vector<double> net_out(net.num_vertices(), 0.0);
   for (int e = 0; e < net.num_edges(); ++e) {
     const double f = result.edge_flow[e];
     const auto& edge = net.edge(e);
     if (!(f >= -tol && f <= edge.capacity + tol)) {
-      err << "edge " << e << ": flow " << f << " outside [0, "
+      err << "infeasible: edge " << e << ": flow " << f << " outside [0, "
           << edge.capacity << "]";
       return err.str();
     }
@@ -81,14 +83,28 @@ std::string check_flow(const graph::FlowNetwork& net, const MaxFlowResult& resul
   for (int v = 0; v < net.num_vertices(); ++v) {
     if (v == net.source() || v == net.sink()) continue;
     if (!(std::abs(net_out[v]) <= tol)) {
-      err << "vertex " << v << ": conservation violated by " << -net_out[v];
+      err << "infeasible: vertex " << v << ": conservation violated by "
+          << -net_out[v];
       return err.str();
     }
   }
   const double source_out = net_out[net.source()];
   if (!(std::abs(source_out - result.flow_value) <= tol)) {
-    err << "flow_value " << result.flow_value << " != net source outflow "
-        << source_out;
+    err << "infeasible: flow_value " << result.flow_value
+        << " != net source outflow " << source_out;
+    return err.str();
+  }
+
+  // The min-cut half: a feasible flow is maximum iff no residual path
+  // joins s to t, and then the capacity leaving the set reached from s
+  // equals the flow value (max-flow/min-cut duality).
+  const MinCutResult cut = min_cut_from_flow(net, result);
+  if (cut.side[net.sink()])
+    return "not maximum: a residual path joins the source to the sink";
+  const double scale = std::max(1.0, net.max_capacity());
+  if (!(std::abs(cut.cut_value - result.flow_value) <= tol * scale)) {
+    err << "not maximum: flow_value " << result.flow_value << " != capacity "
+        << cut.cut_value << " leaving the source's residual side";
     return err.str();
   }
   return {};

@@ -80,7 +80,6 @@ struct Waveform {
   std::vector<std::vector<double>> samples;
 
   std::vector<double> series(int probe) const;
-  double final_value(int probe) const { return samples.back()[probe]; }
 };
 
 /// Earliest time T such that |v(t) - v_final| <= rel_tol * |v_final| for all

@@ -51,17 +51,6 @@ class MpscQueue {
     return true;
   }
 
-  /// Non-blocking push: false when full or closed.
-  bool try_push(T item) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks until an item is available or the queue is closed; nullopt
   /// means closed (workers exit on it).
   std::optional<T> pop() {

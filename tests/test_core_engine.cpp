@@ -21,7 +21,7 @@ namespace {
 /// 50 mixed instances (grid + layered + uniform random), a few hundred
 /// vertices each, so the determinism test exercises real scheduling.
 std::vector<graph::FlowNetwork> mixed_batch() {
-  return core::generate_batch(
+  return core::load_batch(
       "grid:side=12,count=20,seed=1;"
       "layered:layers=5,width=12,fanout=4,cap=32,count=15,seed=100;"
       "uniform:n=200,m=900,cap=64,count=15,seed=200");
@@ -76,7 +76,7 @@ TEST(SolverRegistry, TransientDefaultSettlesOnGridWorkloads) {
   for (const char* spec :
        {"grid:side=4,count=1,seed=1", "grid:side=5,count=1,seed=1",
         "grid:side=6,count=1,seed=1"}) {
-    const graph::FlowNetwork g = core::generate_batch(spec).front();
+    const graph::FlowNetwork g = core::load_batch(spec).front();
     const double exact = core::solve("dinic", g).flow_value;
     flow::MaxFlowResult r;
     ASSERT_NO_THROW(r = solver->solve(g)) << spec;
@@ -201,8 +201,8 @@ TEST(BatchEngine, UnknownSolverThrowsBeforeRunning) {
 }
 
 TEST(Workload, GeneratorSpecCountsAndDeterminism) {
-  const auto a = core::generate_batch("uniform:n=60,m=200,count=3,seed=5");
-  const auto b = core::generate_batch("uniform:n=60,m=200,count=3,seed=5");
+  const auto a = core::load_batch("uniform:n=60,m=200,count=3,seed=5");
+  const auto b = core::load_batch("uniform:n=60,m=200,count=3,seed=5");
   ASSERT_EQ(a.size(), 3u);
   ASSERT_EQ(b.size(), 3u);
   for (size_t i = 0; i < a.size(); ++i) {
@@ -223,42 +223,42 @@ TEST(Workload, GeneratorSpecCountsAndDeterminism) {
 }
 
 TEST(Workload, RejectsUnknownKindAndEmptySpec) {
-  EXPECT_THROW(core::generate_batch("mesh:n=10"), std::invalid_argument);
-  EXPECT_THROW(core::generate_batch(";;"), std::invalid_argument);
-  EXPECT_THROW(core::generate_batch("grid:side"), std::invalid_argument);
+  EXPECT_THROW(core::load_batch("mesh:n=10"), std::invalid_argument);
+  EXPECT_THROW(core::load_batch(";;"), std::invalid_argument);
+  EXPECT_THROW(core::load_batch("grid:side"), std::invalid_argument);
 }
 
 TEST(Workload, RejectsTyposAndDegenerateDimensions) {
   // Misspelled keys must not silently fall back to defaults.
-  EXPECT_THROW(core::generate_batch("grid:hieght=8,width=8"),
+  EXPECT_THROW(core::load_batch("grid:hieght=8,width=8"),
                std::invalid_argument);
-  EXPECT_THROW(core::generate_batch("uniform:nodes=10"), std::invalid_argument);
+  EXPECT_THROW(core::load_batch("uniform:nodes=10"), std::invalid_argument);
   // Non-positive sizes must not build degenerate "successful" instances.
-  EXPECT_THROW(core::generate_batch("grid:side=-3"), std::invalid_argument);
-  EXPECT_THROW(core::generate_batch("grid:height=-3,width=3"),
+  EXPECT_THROW(core::load_batch("grid:side=-3"), std::invalid_argument);
+  EXPECT_THROW(core::load_batch("grid:height=-3,width=3"),
                std::invalid_argument);
-  EXPECT_THROW(core::generate_batch("uniform:n=0"), std::invalid_argument);
-  EXPECT_THROW(core::generate_batch("grid:side=4,count=0"),
+  EXPECT_THROW(core::load_batch("uniform:n=0"), std::invalid_argument);
+  EXPECT_THROW(core::load_batch("grid:side=4,count=0"),
                std::invalid_argument);
 }
 
 TEST(Workload, RejectsNonIntegralIntegerParams) {
   // grid:side=7.9 must not silently become a 7x7 grid.
-  EXPECT_THROW(core::generate_batch("grid:side=7.9"), std::invalid_argument);
-  EXPECT_THROW(core::generate_batch("uniform:n=50,m=200.5"),
+  EXPECT_THROW(core::load_batch("grid:side=7.9"), std::invalid_argument);
+  EXPECT_THROW(core::load_batch("uniform:n=50,m=200.5"),
                std::invalid_argument);
-  EXPECT_THROW(core::generate_batch("layered:layers=2.5,width=4"),
+  EXPECT_THROW(core::load_batch("layered:layers=2.5,width=4"),
                std::invalid_argument);
-  EXPECT_THROW(core::generate_batch("grid:side=4,count=1.5"),
+  EXPECT_THROW(core::load_batch("grid:side=4,count=1.5"),
                std::invalid_argument);
   // Real-valued parameters still accept fractions.
-  EXPECT_NO_THROW(core::generate_batch("grid:side=4,cap=12.5,neighbor=3.5"));
+  EXPECT_NO_THROW(core::load_batch("grid:side=4,cap=12.5,neighbor=3.5"));
 }
 
 TEST(Workload, TrimsWhitespaceAroundKeysAndValues) {
-  const auto tight = core::generate_batch("grid:side=5,count=2,seed=9");
+  const auto tight = core::load_batch("grid:side=5,count=2,seed=9");
   const auto spaced =
-      core::generate_batch("  grid : side = 5 , count = 2 , seed = 9  ");
+      core::load_batch("  grid : side = 5 , count = 2 , seed = 9  ");
   ASSERT_EQ(spaced.size(), tight.size());
   for (size_t i = 0; i < tight.size(); ++i) {
     ASSERT_EQ(spaced[i].num_edges(), tight[i].num_edges());
@@ -269,7 +269,7 @@ TEST(Workload, TrimsWhitespaceAroundKeysAndValues) {
     }
   }
   // Trailing junk after a numeric value is still rejected.
-  EXPECT_THROW(core::generate_batch("grid:side=5x"), std::invalid_argument);
+  EXPECT_THROW(core::load_batch("grid:side=5x"), std::invalid_argument);
 }
 
 TEST(BatchEngine, AnalogSolverIsThreadCountInvariant) {
@@ -308,7 +308,7 @@ TEST(Workload, SpecSourcesCanMixGeneratorsAndDimacsFiles) {
   graph::write_dimacs_file(path, graph::paper_example_fig5());
 
   const auto nets =
-      core::generate_batch("grid:side=4,count=2,seed=1;" + path);
+      core::load_batch("grid:side=4,count=2,seed=1;" + path);
   std::filesystem::remove(path);
 
   ASSERT_EQ(nets.size(), 3u);

@@ -106,6 +106,8 @@ TEST_P(MaxFlowAgreement, AllSolversAgreeAndAreFeasible) {
       graph::rmat_sparse(64, seed),
       graph::layered_random(4, 6, 3, 12, seed),
       graph::uniform_random(40, 160, 9, seed),
+      graph::gridflow(12, 10, 16, seed),
+      core::load_batch("grid:side=8,seed=" + std::to_string(seed)).front(),
   };
   for (const auto& g : instances) {
     const auto ek = flow::edmonds_karp(g);
@@ -246,6 +248,70 @@ TEST(CheckFlow, ValidatesConservationAndCapacity) {
 
   EXPECT_NE(flow::check_flow(net, flow_of(good, 2.0)), ""); // wrong value
   EXPECT_NE(flow::check_flow(net, flow_of({1.0}, 1.0)), ""); // shape
+}
+
+namespace {
+
+/// The flow `r` minus one s-t path of its positive-flow edges, by that
+/// path's bottleneck: still a feasible flow, and below the maximum when
+/// `r` is one. The path is found by a BFS over edges carrying flow, which
+/// reaches t whenever the value is positive (flow decomposition).
+flow::MaxFlowResult minus_one_path(const graph::FlowNetwork& net,
+                                   flow::MaxFlowResult r) {
+  const graph::Incidence inc = graph::incidence(net);
+  std::vector<int> via(net.num_vertices(), -1); // edge that reached v
+  std::vector<int> queue{net.source()};
+  via[net.source()] = net.num_edges();
+  for (size_t i = 0; i < queue.size() && via[net.sink()] < 0; ++i)
+    for (int arc : inc.at(queue[i])) {
+      const int e = arc >> 1;
+      const int to = net.edge(e).to;
+      if (!(arc & 1) && r.edge_flow[e] > 0.0 && via[to] < 0) {
+        via[to] = e;
+        queue.push_back(to);
+      }
+    }
+  if (via[net.sink()] < 0) {
+    ADD_FAILURE() << "no flow path in a positive flow";
+    return r;
+  }
+  double bottleneck = r.flow_value;
+  for (int v = net.sink(); v != net.source(); v = net.edge(via[v]).from)
+    bottleneck = std::min(bottleneck, r.edge_flow[via[v]]);
+  for (int v = net.sink(); v != net.source(); v = net.edge(via[v]).from)
+    r.edge_flow[via[v]] -= bottleneck;
+  r.flow_value -= bottleneck;
+  return r;
+}
+
+} // namespace
+
+TEST(CheckFlow, RejectsFeasibleFlowsBelowTheMaximum) {
+  // The min-cut half of the check: a feasible flow passes the capacity,
+  // conservation and value tests, so only the residual search from s tells
+  // it from a maximum one. Two feasible flows per shape: the zero flow, and
+  // a maximum flow with one of its paths' flow taken back out.
+  const std::vector<std::pair<const char*, graph::FlowNetwork>> instances = {
+      {"grid", core::load_batch("grid:side=12,seed=4").front()},
+      {"gridflow", graph::gridflow(20, 16, 16, 4)},
+      {"rmat", graph::rmat(64, 400, {}, 4)},
+      {"layered", graph::layered_random(6, 8, 3, 12, 4)},
+  };
+  for (const auto& [name, net] : instances) {
+    const flow::MaxFlowResult max = flow::dinic(net);
+    ASSERT_GT(max.flow_value, 0.0) << name;
+    ASSERT_EQ(flow::check_flow(net, max), "") << name;
+
+    flow::MaxFlowResult zero;
+    zero.edge_flow.assign(net.num_edges(), 0.0);
+    const std::string zero_err = flow::check_flow(net, zero);
+    EXPECT_EQ(zero_err.rfind("not maximum: ", 0), 0u) << name << ": " << zero_err;
+
+    const flow::MaxFlowResult less = minus_one_path(net, max);
+    ASSERT_LT(less.flow_value, max.flow_value) << name;
+    const std::string less_err = flow::check_flow(net, less);
+    EXPECT_EQ(less_err.rfind("not maximum: ", 0), 0u) << name << ": " << less_err;
+  }
 }
 
 TEST(CheckFlow, RejectsNonFiniteFlows) {

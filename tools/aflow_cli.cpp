@@ -159,7 +159,8 @@ int cmd_solve(const util::Args& a) {
       return 1;
     }
     // The verdict lines up with the report's label column.
-    std::printf("%-*sfeasible\n", shard.shards >= 2 ? 11 : 10, "check:");
+    std::printf("%-*sfeasible and maximum\n", shard.shards >= 2 ? 11 : 10,
+                "check:");
   }
   if (a.has("--expect-flow") &&
       std::abs(result.flow_value - want) > 1e-6 * std::max(1.0, want)) {
