@@ -33,8 +33,8 @@
 //       surfaces as the baseline's overhead.
 //
 //   bench_sharded [--height 1000] [--width 1000] [--cap 64] [--seed 7]
-//                 [--shards 8] [--threads 0] [--region-solver push_relabel]
-//                 [--min-speedup 2.0] [--rss-budget-mb 384]
+//                 [--shards 8] [--threads 0] [--min-speedup 2.0]
+//                 [--rss-budget-mb 384]
 //                 [--dimacs FILE] [--smoke] [--json FILE]
 //
 // --smoke shrinks the grid and drops the wall-clock and RSS gates (CI
@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
   const util::Flag flags[] = {
       {"--smoke"}, {"--height", "N"}, {"--width", "N"}, {"--cap", "C"},
       {"--seed", "S"}, {"--shards", "K"}, {"--threads", "N"},
-      {"--region-solver", "NAME"}, {"--min-speedup", "X"},
-      {"--rss-budget-mb", "MB"}, {"--json", "FILE"}, {"--dimacs", "FILE"}};
+      {"--min-speedup", "X"}, {"--rss-budget-mb", "MB"}, {"--json", "FILE"},
+      {"--dimacs", "FILE"}};
   const util::Args args = util::parse_argv(argv[0], flags, argc, argv);
   const bool smoke = args.has("--smoke");
   const int height = args.number("--height", smoke ? 120 : 1000);
@@ -90,8 +90,6 @@ int main(int argc, char** argv) {
   const int seed = args.number("--seed", 7);
   const int shards = args.number("--shards", smoke ? 4 : 8);
   const int threads = args.number("--threads", 0);
-  const std::string region_solver =
-      args.string("--region-solver", core::ShardOptions{}.region_solver);
   const double min_speedup = args.number("--min-speedup", smoke ? 0.0 : 2.0);
   const double rss_budget_mb =
       args.number("--rss-budget-mb", smoke ? 0.0 : 384.0);
@@ -119,7 +117,6 @@ int main(int argc, char** argv) {
   // --- Sharded pipeline first: its VmHWM reading is the gated one. -------
   core::ShardOptions opt;
   opt.shards = shards;
-  opt.region_solver = region_solver;
   opt.num_threads = threads;
   core::ShardReport rep;
   const auto sharded_t0 = std::chrono::steady_clock::now();
@@ -131,9 +128,9 @@ int main(int argc, char** argv) {
   const double sharded_s = seconds_since(solve_t0);
   const double rss_sharded = peak_rss_mb();
 
-  std::printf("sharded   %d regions (%s, %d threads): flow %.6g in %.3f s "
-              "(+%.3f s reading)\n",
-              rep.regions, region_solver.c_str(), rep.threads_used,
+  std::printf("sharded   %d regions (push_relabel, %d threads): flow %.6g "
+              "in %.3f s (+%.3f s reading)\n",
+              rep.regions, rep.threads_used,
               sharded.flow_value, sharded_s, stream_s);
   std::printf("          cut arcs %d (cap %.6g), bound %.6g, stitched "
               "%.6g + refined %.6g\n",
@@ -223,7 +220,7 @@ int main(int argc, char** argv) {
   j.field("vertices", g.num_vertices());
   j.field("edges", g.num_edges());
   j.field("shards", shards);
-  j.field("region_solver", region_solver);
+  j.field("region_solver", "push_relabel");
   j.field("threads_used", rep.threads_used);
   j.field("flow", sharded.flow_value);
   j.field("upper_bound", rep.upper_bound);

@@ -59,6 +59,56 @@ void aggregate_outcomes(BatchReport& report) {
     }
   }
 }
+
+/// The one fan-out behind run() and run_streamed(): up to solvers.size()
+/// threads (thread t solves on solvers[t]) claim indices 0..count-1 from a
+/// shared counter; index i solves `net(i)` through run_instance and hands
+/// its outcome to `done`. Each thread writes only its claimed slots of the
+/// pre-sized outcome vector. A thread that fails to start stops the
+/// spawning: the threads that did start claim the remaining indices, or
+/// the calling thread when none did, and threads_used counts the threads
+/// that ran.
+template <typename Net, typename Done>
+BatchReport fan_out(const BatchOptions& options, int count,
+                    std::span<const SolverPtr> solvers, Net&& net,
+                    Done&& done) {
+  BatchReport report;
+  report.outcomes.resize(static_cast<size_t>(count));
+  const auto batch_t0 = Clock::now();
+  std::atomic<int> next{0};
+  const auto worker = [&](int t) {
+    const ISolver& solver = *solvers[static_cast<size_t>(t)];
+    for (int i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      InstanceOutcome& out = report.outcomes[static_cast<size_t>(i)];
+      out.index = i;
+      run_instance(
+          options, out, [&]() -> decltype(auto) { return net(i); },
+          [&](const graph::FlowNetwork& g) {
+            return solver.solve(g, options.cancel);
+          });
+      done(out);
+    }
+  };
+
+  std::vector<std::thread> pool;
+  if (solvers.size() > 1) {
+    pool.reserve(solvers.size());
+    for (size_t t = 0; t < solvers.size(); ++t) {
+      try {
+        pool.emplace_back(worker, static_cast<int>(t));
+      } catch (const std::exception&) {
+        break; // std::system_error at the thread limit, or std::bad_alloc
+      }
+    }
+  }
+  if (pool.empty()) worker(0);
+  for (std::thread& t : pool) t.join();
+  report.threads_used = std::max(1, static_cast<int>(pool.size()));
+
+  report.wall_seconds = seconds_since(batch_t0);
+  aggregate_outcomes(report);
+  return report;
+}
 } // namespace
 
 BatchEngine::BatchEngine(BatchOptions options) : options_(std::move(options)) {}
@@ -75,13 +125,14 @@ BatchReport BatchEngine::run(
     const std::vector<graph::FlowNetwork>& instances) const {
   // Fail fast on an unknown solver before spinning up workers. Each worker
   // owns a solver instance, so backends never share state.
-  const int threads =
-      resolve_threads(static_cast<int>(instances.size()));
-  std::vector<SolverPtr> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t)
-    workers.push_back(SolverRegistry::instance().create(options_.solver));
-  return run(instances, workers);
+  const int n = static_cast<int>(instances.size());
+  std::vector<SolverPtr> solvers;
+  for (int t = resolve_threads(n); t > 0; --t)
+    solvers.push_back(SolverRegistry::instance().create(options_.solver));
+  return fan_out(
+      options_, n, solvers,
+      [&](int i) -> const graph::FlowNetwork& { return instances[i]; },
+      [](InstanceOutcome&) {});
 }
 
 BatchReport BatchEngine::run(const std::vector<graph::FlowNetwork>& instances,
@@ -89,52 +140,14 @@ BatchReport BatchEngine::run(const std::vector<graph::FlowNetwork>& instances,
                              int threads) const {
   if (!shared_solver)
     throw std::invalid_argument("BatchEngine::run: shared solver is null");
-  const std::vector<SolverPtr> workers(
-      static_cast<size_t>(std::max(1, threads)), shared_solver);
-  return run(instances, workers);
-}
-
-BatchReport BatchEngine::run(const std::vector<graph::FlowNetwork>& instances,
-                             std::span<const SolverPtr> workers) const {
-  if (workers.empty())
-    throw std::invalid_argument("BatchEngine::run: workers must be non-empty");
-  BatchReport report;
   const int n = static_cast<int>(instances.size());
-  report.outcomes.resize(n);
-  report.threads_used = std::min(resolve_threads(n),
-                                 std::max(1, static_cast<int>(workers.size())));
-
-  const auto batch_t0 = Clock::now();
-
-  // Work is claimed from a shared atomic counter, and every worker writes
-  // only its claimed slots of the pre-sized outcome vector.
-  std::atomic<int> next{0};
-  const auto worker = [&](int t) {
-    const SolverPtr& solver = workers[t];
-    for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      InstanceOutcome& out = report.outcomes[i];
-      out.index = i;
-      run_instance(
-          options_, out,
-          [&]() -> const graph::FlowNetwork& { return instances[i]; },
-          [&](const graph::FlowNetwork& g) {
-            return solver->solve(g, options_.cancel);
-          });
-    }
-  };
-
-  if (report.threads_used <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(report.threads_used);
-    for (int t = 0; t < report.threads_used; ++t) pool.emplace_back(worker, t);
-    for (std::thread& t : pool) t.join();
-  }
-
-  report.wall_seconds = seconds_since(batch_t0);
-  aggregate_outcomes(report);
-  return report;
+  const std::vector<SolverPtr> solvers(
+      static_cast<size_t>(std::min(resolve_threads(n), std::max(1, threads))),
+      shared_solver);
+  return fan_out(
+      options_, n, solvers,
+      [&](int i) -> const graph::FlowNetwork& { return instances[i]; },
+      [](InstanceOutcome&) {});
 }
 
 BatchReport BatchEngine::run_streamed(
@@ -145,46 +158,16 @@ BatchReport BatchEngine::run_streamed(
   if (!make || !consume)
     throw std::invalid_argument(
         "BatchEngine::run_streamed: make/consume must be callable");
-  BatchReport report;
-  report.outcomes.resize(count);
-  report.threads_used = resolve_threads(count);
-  std::vector<SolverPtr> workers;
-  workers.reserve(report.threads_used);
-  for (int t = 0; t < report.threads_used; ++t)
-    workers.push_back(SolverRegistry::instance().create(options_.solver));
-
-  const auto batch_t0 = Clock::now();
-  std::atomic<int> next{0};
-  const auto worker = [&](int t) {
-    const SolverPtr& solver = workers[t];
-    for (int i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-      InstanceOutcome& out = report.outcomes[i];
-      out.index = i;
-      run_instance(
-          options_, out, [&] { return make(i); },
-          [&](const graph::FlowNetwork& g) {
-            return solver->solve(g, options_.cancel);
-          });
-      if (out.ok) consume(out);
-      // The consumer has scattered what it needs; keep the report light so
-      // k huge regions never accumulate k huge flow vectors.
-      out.result.edge_flow.clear();
-      out.result.edge_flow.shrink_to_fit();
-    }
-  };
-
-  if (report.threads_used <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(report.threads_used);
-    for (int t = 0; t < report.threads_used; ++t) pool.emplace_back(worker, t);
-    for (std::thread& t : pool) t.join();
-  }
-
-  report.wall_seconds = seconds_since(batch_t0);
-  aggregate_outcomes(report);
-  return report;
+  std::vector<SolverPtr> solvers;
+  for (int t = resolve_threads(count); t > 0; --t)
+    solvers.push_back(SolverRegistry::instance().create(options_.solver));
+  return fan_out(options_, count, solvers, make, [&](InstanceOutcome& out) {
+    if (out.ok) consume(out);
+    // The consumer has scattered what it needs; keep the report light so
+    // k huge regions never accumulate k huge flow vectors.
+    out.result.edge_flow.clear();
+    out.result.edge_flow.shrink_to_fit();
+  });
 }
 
 InstanceOutcome BatchEngine::run_one(const graph::FlowNetwork& net,

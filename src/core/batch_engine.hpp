@@ -78,27 +78,22 @@ class BatchEngine {
 
   /// Solves every instance; never throws on per-instance failure (malformed
   /// instance, solver exception) — those surface as `ok == false` outcomes.
-  /// Throws std::invalid_argument when the solver name is unknown.
+  /// Throws std::invalid_argument when the solver name is unknown. Each
+  /// worker thread owns a fresh registry solver. A worker thread that fails
+  /// to start (the process thread limit) is not fatal: the threads that
+  /// did start solve its share, and threads_used counts the threads that
+  /// ran. The same holds for the shared-solver and streamed entries.
   BatchReport run(const std::vector<graph::FlowNetwork>& instances) const;
 
-  /// Like run(), but executes on caller-provided solver instances (worker
-  /// `t` uses `workers[t]`; `workers.size()` bounds the thread count,
-  /// further clamped by the usual resolve_threads rules) instead of
-  /// creating fresh ones from the registry. This is the serving entry
-  /// point: a long-running process (core::ServeEngine) keeps its solvers —
-  /// and therefore their ReusePools and ordering caches — alive across
-  /// calls, which is what lets a request stream warm-start against earlier
-  /// requests. `options().solver` is informational only on this path.
-  BatchReport run(const std::vector<graph::FlowNetwork>& instances,
-                  std::span<const SolverPtr> workers) const;
-
-  /// Like the worker-span overload, but fans the whole batch into ONE
-  /// shared solver instance from up to `threads` concurrent workers. This
-  /// leans on the ISolver contract (solve must be concurrency-safe on one
-  /// instance) and is the multi-session serving path: every session of a
-  /// core::ServeEngine bank drives the same solver, so cross-instance
-  /// assets (la::OrderingCache, core::ReusePool) are shared by everyone
-  /// rather than partitioned per worker.
+  /// Like run(), but fans the whole batch into ONE caller-provided shared
+  /// solver instance from up to `threads` concurrent workers (further
+  /// clamped by the usual resolve_threads rules). This leans on the ISolver
+  /// contract (solve must be concurrency-safe on one instance) and is the
+  /// multi-session serving path: every session of a core::ServeEngine bank
+  /// drives the same solver, so cross-instance assets (la::OrderingCache,
+  /// core::ReusePool) stay alive across calls and are shared by everyone
+  /// rather than partitioned per worker. `options().solver` is
+  /// informational only on this path.
   BatchReport run(const std::vector<graph::FlowNetwork>& instances,
                   const SolverPtr& shared_solver, int threads) const;
 

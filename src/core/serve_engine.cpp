@@ -85,6 +85,11 @@ BatchReport report_of(InstanceOutcome out) {
 /// takes the scratch path — correctness never depends on log depth.
 constexpr size_t kEditLogCap = 256;
 
+/// Most points one `sweep` may ask for, 512 times the default of 8: the
+/// sweep allocates and solves every point, so a request line must not size
+/// that work without bound.
+constexpr int kMaxSweepPoints = 4096;
+
 /// Gauge/counter snapshot of one shared ReusePool (a bank's, or the
 /// sweep/min-cut pool). Point-in-time under concurrency: other sessions
 /// may be mutating the pool while this snapshot is taken.
@@ -335,8 +340,7 @@ std::string ServeSession::handle(const std::string& line) {
        {{"--edits", "I:C[,I:C...]"}, {"--seed", "K"}, {"--scale", "F"}}},
       {"solve", &S::cmd_solve,
        {{"--solver", "NAME"}, {"--check"}, {"--scratch"},
-        {"--deadline-ms", "N"}, {"--shards", "K"}, {"--region-solver", "NAME"},
-        {"--threads", "N"}}},
+        {"--deadline-ms", "N"}, {"--shards", "K"}, {"--threads", "N"}}},
       {"batch", &S::cmd_batch,
        {{"--spec", "GENSPEC"}, {"--solver", "NAME"}, {"--check"}, {"--delta"},
         {"--deadline-ms", "N"}}},
@@ -496,8 +500,11 @@ void ServeSession::cmd_solve(const util::Args& a, util::JsonWriter& j) {
   const long long shards = a.number("--shards", 0LL);
   ShardOptions so;
   so.shards = static_cast<int>(std::min<long long>(shards, 1 << 20));
-  so.region_solver = a.string("--region-solver", so.region_solver);
-  so.num_threads = a.number("--threads", 0);
+  // A request line must not size the region fan-out past the hardware
+  // (0 still picks hardware concurrency).
+  so.num_threads = std::min(
+      a.number("--threads", 0),
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
   so.deterministic = engine_.options().deterministic;
   if (shards >= 2) {
     // Sharded decomposition solve of the loaded instance (DESIGN.md
@@ -510,7 +517,7 @@ void ServeSession::cmd_solve(const util::Args& a, util::JsonWriter& j) {
     const flow::MaxFlowResult r = solver.solve_csr(net, &rep, token);
     j.field("ok", true);
     j.field("solver", "sharded");
-    j.field("region_solver", so.region_solver);
+    j.field("region_solver", "push_relabel");
     j.field("flow", r.flow_value);
     j.key("shards").begin_object();
     j.field("regions", rep.regions);
@@ -679,6 +686,9 @@ void ServeSession::cmd_sweep(const util::Args& a, util::JsonWriter& j) {
   const graph::FlowNetwork& net = require_instance();
   const int points = a.number("--points", 8);
   if (points < 1) throw std::invalid_argument("--points must be >= 1");
+  if (points > kMaxSweepPoints)
+    throw std::invalid_argument("--points must be <= " +
+                                std::to_string(kMaxSweepPoints));
   const double vmax = a.number("--vmax", 10.0);
   if (!(vmax > 0.0)) throw std::invalid_argument("--vmax must be positive");
 

@@ -1,14 +1,15 @@
 #include "core/serve_front.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #ifndef _WIN32
 #include <poll.h>
@@ -39,8 +40,6 @@ void ServeFront::start() {
 }
 void ServeFront::run() {}
 void ServeFront::stop() {}
-int ServeFront::io_thread_count() const { return 0; }
-int ServeFront::worker_count() const { return 0; }
 
 #else // POSIX
 
@@ -54,19 +53,14 @@ struct PendingLine {
   bool oversized = false;
 };
 
-} // namespace
-
-/// Per-connection state. Everything below `session` is owned exclusively
-/// by the connection's I/O loop thread; workers touch only the immutable
-/// fields (fd is used by the loop alone, `session` and `loop_index` are
-/// const after construction, and the executing/response handshake — at
-/// most one work item in flight per connection, posted back through the
-/// loop's locked mailbox — guarantees the loop never mutates `session`
-/// while a worker is inside it).
+/// Per-connection state, owned by the I/O loop. Workers touch only
+/// `session`, and the executing/response handshake — at most one work
+/// item in flight per connection, posted back through the locked mailbox
+/// — guarantees the loop never touches `session` (nor closes the
+/// connection) while a worker is inside it.
 struct Conn {
   int fd = -1;
   bool tcp = false;
-  size_t loop_index = 0;
   std::shared_ptr<ServeSession> session; // null for rejected connections
 
   std::string read_buf;
@@ -78,10 +72,7 @@ struct Conn {
   bool reading_paused = false; // backpressure: at pipeline/write-buf limit
   bool hungup = false;         // peer gone; flush nothing, close when idle
   bool done = false;           // quit/shutdown/poison: close once drained
-  bool closed = false;
 };
-
-namespace {
 
 struct WorkItem {
   std::shared_ptr<Conn> conn;
@@ -95,18 +86,16 @@ struct Response {
   bool session_done = false;
 };
 
-struct IoLoop {
-  util::SelfPipe wake;
-  std::mutex mail_mutex;
-  std::vector<std::shared_ptr<Conn>> incoming; // acceptor -> this loop
-  std::vector<Response> responses;             // workers -> this loop
-  std::vector<std::shared_ptr<Conn>> conns;    // loop-thread-owned
-  std::thread thread;
-};
-
-constexpr size_t kNoSlot = static_cast<size_t>(-1);
+constexpr int kListenBacklog = 128;
+/// Poll timeout: bounds how late the loop notices the end of the drain
+/// grace, or a shutdown flag set without a wake. Readiness, responses and
+/// stop() wake the loop at once.
+constexpr int kPollIntervalMs = 50;
+/// At shutdown, how long the front keeps flushing already-buffered
+/// responses to clients that are still reading before closing on them.
+constexpr int kDrainGraceMs = 1000;
 /// recv() calls per connection per poll cycle: bounds how long one
-/// fast-writing client can monopolise its I/O loop.
+/// fast-writing client can monopolise the loop.
 constexpr int kMaxReadsPerCycle = 16;
 
 } // namespace
@@ -114,27 +103,14 @@ constexpr int kMaxReadsPerCycle = 16;
 struct ServeFront::Impl {
   int unix_fd = -1;
   int tcp_fd = -1;
-  std::vector<std::unique_ptr<IoLoop>> loops;
-  std::unique_ptr<util::MpscQueue<WorkItem>> queue;
-  std::vector<std::thread> workers;
-
   std::atomic<bool> stop{false};
-  /// Loops observe this to close the accept path and stop reading; set by
-  /// run() once stop/shutdown is detected.
-  std::atomic<bool> stopping{false};
-  /// Set after the worker pool is joined: loops may now flush-and-exit.
-  std::atomic<bool> workers_done{false};
-  std::atomic<size_t> next_loop{0};
-  int worker_count = 0;
-
-  std::mutex run_mutex;
-  std::condition_variable run_cv;
+  /// Wakes the I/O loop: workers posting responses, and stop().
+  util::SelfPipe wake;
 };
 
 ServeFront::ServeFront(ServeEngine& engine, ServeFrontOptions options)
     : impl_(std::make_unique<Impl>()), engine_(engine),
       options_(std::move(options)) {
-  if (options_.io_threads < 1) options_.io_threads = 1;
   if (options_.max_pipeline < 1) options_.max_pipeline = 1;
   if (options_.max_write_buffer_bytes < 1) options_.max_write_buffer_bytes = 1;
 }
@@ -152,26 +128,19 @@ ServeFront::~ServeFront() {
 
 void ServeFront::stop() {
   impl_->stop.store(true);
-  impl_->run_cv.notify_all();
+  impl_->wake.notify();
 }
-
-int ServeFront::io_thread_count() const {
-  return static_cast<int>(impl_->loops.size());
-}
-
-int ServeFront::worker_count() const { return impl_->worker_count; }
 
 void ServeFront::start() {
   if (options_.socket_path.empty() && options_.tcp_address.empty())
     throw std::runtime_error(
         "ServeFront: configure socket_path and/or tcp_address");
   if (!options_.socket_path.empty())
-    impl_->unix_fd =
-        util::listen_unix(options_.socket_path, options_.listen_backlog);
+    impl_->unix_fd = util::listen_unix(options_.socket_path, kListenBacklog);
   if (!options_.tcp_address.empty()) {
     try {
-      impl_->tcp_fd = util::listen_tcp(options_.tcp_address,
-                                       options_.listen_backlog, &tcp_port_);
+      impl_->tcp_fd =
+          util::listen_tcp(options_.tcp_address, kListenBacklog, &tcp_port_);
     } catch (...) {
       if (impl_->unix_fd >= 0) {
         ::close(impl_->unix_fd);
@@ -185,24 +154,27 @@ void ServeFront::start() {
 
 namespace {
 
-/// Classes of front work, factored free of ServeFront so the loop body
-/// reads top-down. All methods run on the owning loop's thread.
+/// One run() of the front: the worker pool, the queue and mailbox between
+/// it and the loop, and the loop's connections. Every method but
+/// worker_main runs on the loop's thread. The destructor closes the queue
+/// and joins the workers, so an exception out of the loop unwinds cleanly.
 class FrontRuntime {
  public:
   FrontRuntime(ServeEngine& engine, const ServeFrontOptions& options,
-               FrontTelemetry& telemetry, ServeFront::Impl& impl)
-      : engine_(engine), options_(options), telemetry_(telemetry),
-        impl_(impl),
-        oversized_error_("oversized frame: request line exceeds " +
-                         std::to_string(options.max_line_bytes) + " bytes") {}
+               FrontTelemetry& telemetry, ServeFront::Impl& impl);
+  ~FrontRuntime();
+  FrontRuntime(const FrontRuntime&) = delete;
+  FrontRuntime& operator=(const FrontRuntime&) = delete;
 
-  void loop_main(size_t index);
-  void worker_main();
+  /// Starts the workers and runs the loop until shutdown completes.
+  void serve();
 
  private:
-  void accept_all(size_t my_index, int lfd, bool tcp);
-  void adopt(IoLoop& loop, std::shared_ptr<Conn> conn);
-  void handle_response(IoLoop& loop, Response& r);
+  void worker_main();
+  void begin_stop();
+  void join_workers();
+  void accept_all(int lfd, bool tcp);
+  void handle_response(Response& r);
   void append_response(Conn& c, const std::string& text);
   void ingest(const std::shared_ptr<Conn>& conn, const char* data, size_t n);
   void read_conn(const std::shared_ptr<Conn>& conn);
@@ -220,107 +192,146 @@ class FrontRuntime {
   FrontTelemetry& telemetry_;
   ServeFront::Impl& impl_;
   const std::string oversized_error_;
+  const int worker_count_;
+
+  util::MpscQueue<WorkItem> queue_;
+  std::mutex mail_mutex_;
+  std::vector<Response> responses_; // workers -> loop, under mail_mutex_
+  std::vector<std::shared_ptr<Conn>> conns_;
+  /// Shutdown has begun: no accepts, reads or dispatches.
+  bool stopping_ = false;
+  std::vector<std::thread> workers_; // last: they use every member above
 };
 
+FrontRuntime::FrontRuntime(ServeEngine& engine, const ServeFrontOptions& options,
+                           FrontTelemetry& telemetry, ServeFront::Impl& impl)
+    : engine_(engine), options_(options), telemetry_(telemetry), impl_(impl),
+      oversized_error_("oversized frame: request line exceeds " +
+                       std::to_string(options.max_line_bytes) + " bytes"),
+      worker_count_(std::max(1, options.workers > 0 ? options.workers
+                                                    : engine.workers_per_bank())),
+      // At most one item per connection is queued, so max_sessions bounds
+      // occupancy; the capacity is a memory-safety backstop.
+      queue_(static_cast<size_t>(
+          std::max(64, engine.options().max_sessions + 1))) {
+  engine_.set_front_stats_writer([this](util::JsonWriter& j) {
+    // One loop, always; the key stays for aflow-serve-v1 stability.
+    j.field("io_threads", 1);
+    j.field("workers", worker_count_);
+#define AFLOW_WRITE_FRONT_COUNTER(name) j.field(#name, telemetry_.name.load());
+    AFLOW_FRONT_COUNTERS(AFLOW_WRITE_FRONT_COUNTER)
+#undef AFLOW_WRITE_FRONT_COUNTER
+  });
+}
+
+FrontRuntime::~FrontRuntime() {
+  queue_.close();
+  join_workers();
+  engine_.set_front_stats_writer(nullptr);
+}
+
+void FrontRuntime::join_workers() {
+  for (std::thread& w : workers_)
+    if (w.joinable()) w.join();
+  workers_.clear();
+}
+
 void FrontRuntime::worker_main() {
-  while (std::optional<WorkItem> item = impl_.queue->pop()) {
-    // Sessions stay single-threaded by contract: the I/O plane schedules
-    // at most one item per connection, so no two workers (and never the
-    // loop) are inside one session at a time.
+  while (std::optional<WorkItem> item = queue_.pop()) {
+    // Sessions stay single-threaded by contract: the loop schedules at
+    // most one item per connection, so no two workers (and never the loop)
+    // are inside one session at a time.
     ServeSession& session = *item->conn->session;
     std::string response = item->oversized
                                ? session.protocol_error(item->line)
                                : session.handle(item->line);
     const bool done = session.done();
-    IoLoop& loop = *impl_.loops[item->conn->loop_index];
     {
-      const std::lock_guard<std::mutex> lock(loop.mail_mutex);
-      loop.responses.push_back(
+      const std::lock_guard<std::mutex> lock(mail_mutex_);
+      responses_.push_back(
           Response{std::move(item->conn), std::move(response), done});
     }
-    loop.wake.notify();
+    impl_.wake.notify();
   }
 }
 
-void FrontRuntime::loop_main(size_t index) {
-  IoLoop& loop = *impl_.loops[index];
-  const bool acceptor = index == 0;
+void FrontRuntime::serve() {
+  for (int i = 0; i < worker_count_; ++i)
+    workers_.emplace_back([this] { worker_main(); });
+
   util::Poller poller;
-  std::vector<std::shared_ptr<Conn>> incoming;
   std::vector<Response> responses;
   std::vector<size_t> slots;
   using Clock = std::chrono::steady_clock;
   Clock::time_point drain_deadline{};
-  bool draining = false;
+  bool draining = false; // workers joined: flush, then close
 
   for (;;) {
-    // -- mailbox: new connections from the acceptor, worker responses.
-    incoming.clear();
+    // -- mailbox: worker responses.
     responses.clear();
     {
-      const std::lock_guard<std::mutex> lock(loop.mail_mutex);
-      incoming.swap(loop.incoming);
-      responses.swap(loop.responses);
+      const std::lock_guard<std::mutex> lock(mail_mutex_);
+      responses.swap(responses_);
     }
-    for (std::shared_ptr<Conn>& conn : incoming) adopt(loop, std::move(conn));
-    for (Response& r : responses) handle_response(loop, r);
+    for (Response& r : responses) handle_response(r);
 
-    const bool stopping = impl_.stopping.load(std::memory_order_acquire);
-    const bool workers_done = impl_.workers_done.load(std::memory_order_acquire);
-    if (stopping) {
-      // No further dispatches: queued-but-unserved requests are dropped,
-      // matching the thread-per-connection front's abandon-on-shutdown.
-      for (const std::shared_ptr<Conn>& conn : loop.conns)
-        conn->pending.clear();
-      if (workers_done && !draining) {
-        draining = true;
-        drain_deadline = Clock::now() + std::chrono::milliseconds(
-                                            options_.drain_grace_ms);
-      }
+    // -- shutdown, in dependency order: stop accepting, reading and
+    // dispatching; once no request is in flight, join the (now idle)
+    // workers; then flush for at most kDrainGraceMs and close.
+    if (!stopping_ && (impl_.stop.load() || engine_.shutdown_requested()))
+      begin_stop();
+    if (stopping_ && !draining &&
+        std::none_of(conns_.begin(), conns_.end(),
+                     [](const auto& c) { return c->executing; })) {
+      join_workers();
+      draining = true;
+      drain_deadline = Clock::now() + std::chrono::milliseconds(kDrainGraceMs);
     }
 
     // -- close sweep: a connection leaves once no worker holds it and it
     // has nothing (or no way) left to deliver.
     const bool grace_over = draining && Clock::now() >= drain_deadline;
-    for (auto it = loop.conns.begin(); it != loop.conns.end();) {
+    for (auto it = conns_.begin(); it != conns_.end();) {
       Conn& c = **it;
       const bool flushed = write_pending(c) == 0;
-      if (!c.closed && !c.executing &&
-          (c.hungup || (c.done && flushed) ||
-           (draining && (flushed || grace_over))))
+      if (!c.executing && (c.hungup || (c.done && flushed) ||
+                           (draining && (flushed || grace_over)))) {
         close_conn(c);
-      it = c.closed ? loop.conns.erase(it) : std::next(it);
+        it = conns_.erase(it);
+      } else {
+        ++it;
+      }
     }
-    if (stopping && workers_done && loop.conns.empty()) break;
+    if (draining && conns_.empty()) break;
 
     // -- poll set.
     poller.clear();
     slots.clear();
-    const size_t wake_slot = poller.add(loop.wake.read_fd(), POLLIN);
-    size_t unix_slot = kNoSlot, tcp_slot = kNoSlot;
-    if (acceptor && !stopping) {
-      if (impl_.unix_fd >= 0) unix_slot = poller.add(impl_.unix_fd, POLLIN);
-      if (impl_.tcp_fd >= 0) tcp_slot = poller.add(impl_.tcp_fd, POLLIN);
-    }
-    for (const std::shared_ptr<Conn>& conn : loop.conns) {
+    const size_t wake_slot = poller.add(impl_.wake.read_fd(), POLLIN);
+    // poll(2) skips a negative fd: an absent listener, or any listener
+    // once shutdown has begun, never reads ready.
+    const size_t unix_slot =
+        poller.add(stopping_ ? -1 : impl_.unix_fd, POLLIN);
+    const size_t tcp_slot = poller.add(stopping_ ? -1 : impl_.tcp_fd, POLLIN);
+    for (const std::shared_ptr<Conn>& conn : conns_) {
       short events = POLLRDHUP; // hangup detection stays on through pauses
-      if (!conn->hungup && !conn->done && !conn->reading_paused && !stopping)
+      if (!conn->hungup && !conn->done && !conn->reading_paused && !stopping_)
         events |= POLLIN;
       if (write_pending(*conn) > 0 && !conn->hungup) events |= POLLOUT;
       slots.push_back(poller.add(conn->fd, events));
     }
 
-    poller.wait(options_.poll_interval_ms);
+    poller.wait(kPollIntervalMs);
 
-    // -- readiness.
-    if (poller.revents(wake_slot) & POLLIN) loop.wake.drain();
-    if (unix_slot != kNoSlot && (poller.revents(unix_slot) & POLLIN))
-      accept_all(index, impl_.unix_fd, /*tcp=*/false);
-    if (tcp_slot != kNoSlot && (poller.revents(tcp_slot) & POLLIN))
-      accept_all(index, impl_.tcp_fd, /*tcp=*/true);
+    // -- readiness. Accepted connections join conns_ behind the polled
+    // ones, so slot k still names conns_[k].
+    if (poller.revents(wake_slot) & POLLIN) impl_.wake.drain();
+    if (poller.revents(unix_slot) & POLLIN)
+      accept_all(impl_.unix_fd, /*tcp=*/false);
+    if (poller.revents(tcp_slot) & POLLIN)
+      accept_all(impl_.tcp_fd, /*tcp=*/true);
     for (size_t k = 0; k < slots.size(); ++k) {
-      const std::shared_ptr<Conn>& conn = loop.conns[k];
-      if (conn->closed) continue;
+      const std::shared_ptr<Conn>& conn = conns_[k];
       const short re = poller.revents(slots[k]);
       if (re & POLLIN) {
         // Read before honouring a hangup bit: a client that pipelined
@@ -330,7 +341,7 @@ void FrontRuntime::loop_main(size_t index) {
       } else if (re & (POLLRDHUP | POLLHUP | POLLERR)) {
         hangup(*conn);
       }
-      if (!conn->closed && !conn->hungup && (re & POLLOUT)) {
+      if (!conn->hungup && (re & POLLOUT)) {
         flush_conn(*conn);
         // A drained write buffer may clear the pause even with no request
         // in flight (nothing else re-evaluates it until the next response).
@@ -338,24 +349,26 @@ void FrontRuntime::loop_main(size_t index) {
       }
     }
   }
-
-  // Loop exit: every connection was closed by the sweep above.
 }
 
-void FrontRuntime::adopt(IoLoop& loop, std::shared_ptr<Conn> conn) {
-  loop.conns.push_back(std::move(conn));
+void FrontRuntime::begin_stop() {
+  stopping_ = true;
+  // Queued-but-unserved requests are dropped, matching the
+  // thread-per-connection front's abandon-on-shutdown.
+  for (const std::shared_ptr<Conn>& conn : conns_) conn->pending.clear();
+  // close() hands back the items no worker popped; no response will come
+  // for them, so their connections are no longer executing.
+  for (WorkItem& item : queue_.close()) item.conn->executing = false;
 }
 
-void FrontRuntime::accept_all(size_t my_index, int lfd, bool tcp) {
+void FrontRuntime::accept_all(int lfd, bool tcp) {
   for (;;) {
     const int fd = ::accept(lfd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       // Anything else — EAGAIN (drained), ECONNABORTED, or fd/memory
-      // pressure (EMFILE/ENFILE/ENOMEM) — waits for the next poll cycle;
-      // the poll interval paces the retry so an exhausted fd table does
-      // not busy-loop, and a broken listener keeps erroring harmlessly
-      // until shutdown.
+      // pressure (EMFILE/ENFILE/ENOMEM) — waits for the next poll cycle,
+      // and a broken listener keeps erroring harmlessly until shutdown.
       break;
     }
     try {
@@ -381,28 +394,13 @@ void FrontRuntime::accept_all(size_t my_index, int lfd, bool tcp) {
       conn->session = std::move(session);
     }
     telemetry_.open_connections.fetch_add(1);
-
-    const size_t target = impl_.next_loop.fetch_add(1) % impl_.loops.size();
-    conn->loop_index = target;
-    if (target == my_index) {
-      IoLoop& loop = *impl_.loops[target];
-      flush_conn(*conn); // rejection lines usually leave immediately
-      if (!conn->closed) adopt(loop, std::move(conn));
-      continue;
-    }
-    IoLoop& other = *impl_.loops[target];
-    {
-      const std::lock_guard<std::mutex> lock(other.mail_mutex);
-      other.incoming.push_back(std::move(conn));
-    }
-    other.wake.notify();
+    flush_conn(*conn); // rejection lines usually leave immediately
+    conns_.push_back(std::move(conn));
   }
 }
 
-void FrontRuntime::handle_response(IoLoop& loop, Response& r) {
-  (void)loop;
+void FrontRuntime::handle_response(Response& r) {
   Conn& c = *r.conn;
-  if (c.closed) return;
   c.executing = false;
   if (!r.text.empty() && !c.hungup && !c.done) append_response(c, r.text);
   if (r.session_done) {
@@ -525,8 +523,8 @@ void FrontRuntime::flush_conn(Conn& c) {
 
 void FrontRuntime::dispatch(const std::shared_ptr<Conn>& conn) {
   Conn& c = *conn;
-  if (c.executing || c.hungup || c.done || c.pending.empty()) return;
-  if (impl_.stopping.load(std::memory_order_acquire)) return;
+  if (c.executing || c.hungup || c.done || c.pending.empty() || stopping_)
+    return;
   PendingLine item = std::move(c.pending.front());
   c.pending.pop_front();
   c.executing = true;
@@ -534,7 +532,7 @@ void FrontRuntime::dispatch(const std::shared_ptr<Conn>& conn) {
   // Capacity is sized to max_sessions (one in-flight item per connection),
   // so this never blocks in practice; a false return means the queue was
   // closed for shutdown, where dropping the request is the contract.
-  if (!impl_.queue->push(WorkItem{conn, std::move(item.text), item.oversized}))
+  if (!queue_.push(WorkItem{conn, std::move(item.text), item.oversized}))
     c.executing = false;
 }
 
@@ -567,8 +565,6 @@ void FrontRuntime::hangup(Conn& c) {
 }
 
 void FrontRuntime::close_conn(Conn& c) {
-  if (c.closed) return;
-  c.closed = true;
   c.session.reset(); // frees the max_sessions slot
   ::close(c.fd);
   telemetry_.open_connections.fetch_sub(1);
@@ -579,76 +575,7 @@ void FrontRuntime::close_conn(Conn& c) {
 void ServeFront::run() {
   if (impl_->unix_fd < 0 && impl_->tcp_fd < 0)
     throw std::runtime_error("ServeFront::run: call start() first");
-
-  impl_->stopping.store(false);
-  impl_->workers_done.store(false);
-  impl_->worker_count =
-      options_.workers > 0 ? options_.workers : engine_.workers_per_bank();
-  if (impl_->worker_count < 1) impl_->worker_count = 1;
-  impl_->queue = std::make_unique<util::MpscQueue<WorkItem>>(
-      static_cast<size_t>(
-          std::max(64, engine_.options().max_sessions + options_.io_threads)));
-  impl_->loops.clear();
-  for (int i = 0; i < options_.io_threads; ++i)
-    impl_->loops.push_back(std::make_unique<IoLoop>());
-
-  FrontRuntime runtime(engine_, options_, telemetry_, *impl_);
-
-  engine_.set_front_stats_writer([this](util::JsonWriter& j) {
-    j.field("io_threads", static_cast<int>(impl_->loops.size()));
-    j.field("workers", impl_->worker_count);
-#define AFLOW_WRITE_FRONT_COUNTER(name) j.field(#name, telemetry_.name.load());
-    AFLOW_FRONT_COUNTERS(AFLOW_WRITE_FRONT_COUNTER)
-#undef AFLOW_WRITE_FRONT_COUNTER
-  });
-
-  // Loop 0, the only acceptor, starts last: every front thread exists
-  // before the first connection is accepted.
-  for (int i = 0; i < impl_->worker_count; ++i)
-    impl_->workers.emplace_back([&runtime] { runtime.worker_main(); });
-  for (size_t i = impl_->loops.size(); i-- > 0;)
-    impl_->loops[i]->thread =
-        std::thread([&runtime, i] { runtime.loop_main(i); });
-
-  // Coordinator: wait for stop() or a session's `shutdown` request. The
-  // poll interval bounds shutdown-detection staleness, same as the loops.
-  {
-    std::unique_lock<std::mutex> lock(impl_->run_mutex);
-    while (!impl_->stop.load() && !engine_.shutdown_requested())
-      impl_->run_cv.wait_for(
-          lock, std::chrono::milliseconds(options_.poll_interval_ms));
-  }
-
-  // Teardown, in dependency order: stop accepting/reading/dispatching,
-  // drop queued requests, let in-flight requests finish and post their
-  // responses, then let the loops flush what is buffered (bounded by
-  // drain_grace_ms) and exit.
-  impl_->stopping.store(true, std::memory_order_release);
-  for (auto& loop : impl_->loops) loop->wake.notify();
-  // close() hands back requests no worker ever popped. Their connections
-  // still have `executing` set, and only a response clears it — so post an
-  // empty response for each, or the close sweep would wait on them forever
-  // and the loops (and this join) would never finish.
-  for (WorkItem& item : impl_->queue->close()) {
-    IoLoop& loop = *impl_->loops[item.conn->loop_index];
-    {
-      const std::lock_guard<std::mutex> lock(loop.mail_mutex);
-      loop.responses.push_back(
-          Response{std::move(item.conn), std::string(), false});
-    }
-    loop.wake.notify();
-  }
-  for (std::thread& w : impl_->workers)
-    if (w.joinable()) w.join();
-  impl_->workers.clear();
-  impl_->workers_done.store(true, std::memory_order_release);
-  for (auto& loop : impl_->loops) loop->wake.notify();
-  for (auto& loop : impl_->loops)
-    if (loop->thread.joinable()) loop->thread.join();
-  impl_->loops.clear();
-  impl_->queue.reset();
-
-  engine_.set_front_stats_writer(nullptr);
+  FrontRuntime(engine_, options_, telemetry_, *impl_).serve();
 
   if (impl_->unix_fd >= 0) {
     ::close(impl_->unix_fd);

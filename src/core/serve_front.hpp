@@ -3,11 +3,11 @@
 //
 // The PR-5 front spent one blocking thread per connection, so connection
 // count — not solver speed — was the scaling wall. This front splits the
-// two concerns the way streaming maxflow serving systems do: a thin I/O
-// plane that owns every transport concern, feeding a FIXED worker pool
-// that owns every solver call (DESIGN.md "Event-driven serving front").
+// two concerns the way streaming maxflow serving systems do: one poll loop
+// that owns every transport concern, feeding a FIXED worker pool that owns
+// every solver call (DESIGN.md "Event-driven serving front").
 //
-//   I/O plane (options.io_threads poll loops, nonblocking fds)
+//   I/O loop (the thread that calls run(), nonblocking fds)
 //     accept on both listeners, line framing over per-connection read
 //     buffers, oversized-frame resync, per-connection write buffers with
 //     nonblocking flushes, hangup detection (POLLRDHUP every poll — the
@@ -17,28 +17,27 @@
 //     buffered allotment, never a thread and never unbounded memory.
 //   Worker pool (options.workers threads)
 //     pops requests from one bounded MPSC queue and runs
-//     ServeSession::handle. The I/O plane schedules at most ONE request
-//     per connection at a time and enqueues parsed lines in arrival
-//     order, which is the whole per-session ordering argument: FIFO
-//     parse, one in flight, FIFO response buffer (proof sketch in
-//     DESIGN.md "Event-driven serving front").
+//     ServeSession::handle. The loop schedules at most ONE request per
+//     connection at a time and enqueues parsed lines in arrival order,
+//     which is the whole per-session ordering argument: FIFO parse, one in
+//     flight, FIFO response buffer (proof sketch in DESIGN.md
+//     "Event-driven serving front"). Workers post responses to one mailbox
+//     and wake the loop through one self-pipe.
 //
 // Thousands of idle clients therefore cost file descriptors and a few
-// kilobytes of buffer each; the thread count is io_threads + workers,
-// fixed at start. Every PR-5/PR-8 session contract is preserved: one
-// ServeSession per connection, per-session response ordering, oversized
-// frames answered once and discarded to their newline, beyond-cap
-// connects rejected with one line, a client vanishing mid-solve trips the
-// session CancelToken (now on the next poll wake instead of the next
-// sweep), and `quit` ends one session while `shutdown` stops the front.
-// POSIX-only (guarded throw on _WIN32).
+// kilobytes of buffer each; run() starts `workers` threads, fixed at
+// start. Every PR-5/PR-8 session contract is preserved: one ServeSession
+// per connection, per-session response ordering, oversized frames answered
+// once and discarded to their newline, beyond-cap connects rejected with
+// one line, a client vanishing mid-solve trips the session CancelToken (on
+// the next poll wake), and `quit` ends one session while `shutdown` stops
+// the front. POSIX-only (guarded throw on _WIN32).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/serve_engine.hpp"
 
@@ -55,14 +54,6 @@ struct ServeFrontOptions {
   /// Longest accepted request line, bytes (without the newline). Longer
   /// frames draw one error response and are discarded to their newline.
   size_t max_line_bytes = 1 << 20;
-  int listen_backlog = 128;
-  /// Poll-loop tick: the upper bound on how stale shutdown/stop detection
-  /// can be. I/O readiness itself wakes the loops immediately.
-  int poll_interval_ms = 50;
-  /// Nonblocking poll loops in the I/O plane. One is right for almost
-  /// every deployment; more only helps past tens of thousands of hot
-  /// connections.
-  int io_threads = 1;
   /// Worker threads executing requests. 0 = the engine's workers_per_bank.
   int workers = 0;
   /// Per-session pipelining limit: parsed-but-unserved requests a
@@ -71,15 +62,12 @@ struct ServeFrontOptions {
   /// Per-connection write-buffer cap, bytes: a connection whose client is
   /// not draining responses stops being read past this point.
   size_t max_write_buffer_bytes = 256 << 10;
-  /// At shutdown, how long the front keeps flushing already-buffered
-  /// responses to clients that are still reading before closing on them.
-  int drain_grace_ms = 1000;
 };
 
-/// The I/O plane's monotonic counters, one row each, in the key order of
-/// the `stats` response's "front" object (docs/BENCH_FORMAT.md holds one
-/// table row per counter). FrontTelemetry's atomics and the front's stats
-/// writer are generated from this table.
+/// The front's monotonic counters, one row each, in the key order of the
+/// `stats` response's "front" object (docs/BENCH_FORMAT.md holds one table
+/// row per counter). FrontTelemetry's atomics and the front's stats writer
+/// are generated from this table.
 #define AFLOW_FRONT_COUNTERS(X)                                             \
   X(accepted_unix)                                                          \
   X(accepted_tcp)                                                           \
@@ -101,9 +89,9 @@ struct FrontTelemetry {
 
 class ServeFront {
  public:
-  /// Pimpl holding the listeners, queue, and thread pools; public so the
-  /// implementation's free-standing runtime class (serve_front.cpp) can
-  /// name it, but defined only in the .cpp.
+  /// Pimpl holding the listeners, the stop flag and the loop's wake pipe;
+  /// public so the implementation's free-standing runtime class
+  /// (serve_front.cpp) can name it, but defined only in the .cpp.
   struct Impl;
 
   /// The engine must outlive the front. No sockets are touched until
@@ -117,13 +105,14 @@ class ServeFront {
   /// std::runtime_error on socket/bind/listen failure (and on _WIN32).
   void start();
 
-  /// Blocking: spawns the I/O loops and the worker pool, serves until a
-  /// session requests shutdown or stop() is called, then drains buffered
-  /// responses (bounded by drain_grace_ms), joins every thread, and
-  /// removes the socket file. Call start() first.
+  /// Blocking: starts the worker pool and runs the I/O loop on the calling
+  /// thread until a session requests shutdown or stop() is called, then
+  /// lets in-flight requests finish, joins the workers, flushes buffered
+  /// responses for at most one second, and removes the socket file. Call
+  /// start() first.
   void run();
 
-  /// Thread-safe: asks run() to return.
+  /// Thread-safe: asks run() to return, waking its loop at once.
   void stop();
 
   const ServeFrontOptions& options() const { return options_; }
@@ -136,8 +125,6 @@ class ServeFront {
   /// Connections refused because max_sessions were open.
   long long sessions_rejected() const { return telemetry_.rejected.load(); }
   const FrontTelemetry& telemetry() const { return telemetry_; }
-  int io_thread_count() const;
-  int worker_count() const;
 
  private:
   std::unique_ptr<Impl> impl_;

@@ -7,7 +7,6 @@
 
 #include "arch/partition.hpp"
 #include "core/batch_engine.hpp"
-#include "core/registry.hpp"
 #include "flow/residual.hpp"
 #include "util/fault_injector.hpp"
 
@@ -39,11 +38,7 @@ ShardedSolver::ShardedSolver(ShardOptions options)
     throw std::invalid_argument("ShardedSolver: shards must be >= 1");
 }
 
-SolverCapabilities ShardedSolver::capabilities() const {
-  SolverCapabilities caps;
-  caps.sharded = true;
-  return caps;
-}
+SolverCapabilities ShardedSolver::capabilities() const { return {}; }
 
 flow::MaxFlowResult ShardedSolver::solve(const graph::FlowNetwork& net,
                                          const CancelToken& cancel) const {
@@ -53,15 +48,6 @@ flow::MaxFlowResult ShardedSolver::solve(const graph::FlowNetwork& net,
 flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
                                              ShardReport* report,
                                              const CancelToken& cancel) const {
-  // Fail fast on a bad region backend, before any partition work.
-  const SolverPtr region_solver =
-      SolverRegistry::instance().create(options_.region_solver);
-  const SolverCapabilities rc = region_solver->capabilities();
-  if (!rc.exact || rc.analog)
-    throw std::invalid_argument(
-        "ShardedSolver: region solver '" + options_.region_solver +
-        "' must be exact and non-analog");
-
   const int n = g.num_vertices();
   const int m = g.num_edges();
   const int s = g.source();
@@ -211,7 +197,7 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
   };
 
   BatchOptions bo;
-  bo.solver = options_.region_solver;
+  bo.solver = "push_relabel"; // the kernel the refinement runs too
   bo.num_threads = options_.num_threads;
   bo.deterministic = options_.deterministic;
   bo.cancel = cancel;
@@ -220,10 +206,18 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
   rep.threads_used = batch.threads_used;
 
   // Degradation ladder, region rung: a failed region solve no longer fails
-  // the whole sharded solve. Each failed region is retried through the
-  // region backend up to region_retries times, then re-solved directly on
-  // this thread with the built-in exact solver; only when the direct rung
-  // fails too (or the solve is being cancelled) does the failure propagate.
+  // the whole sharded solve. Each failed region is retried on this thread
+  // up to region_retries times, then re-solved once more as the direct
+  // rung; only when the direct rung fails too (or the solve is being
+  // cancelled) does the failure propagate.
+  const auto resolve_region = [&](int index) {
+    InstanceOutcome out;
+    out.index = index;
+    const graph::FlowNetwork net = make(index);
+    net.validate();
+    out.result = flow::push_relabel(net, cancel);
+    consume(out);
+  };
   if (batch.failed > 0) {
     for (const InstanceOutcome& out : batch.outcomes) {
       if (out.ok) continue;
@@ -232,12 +226,7 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
       for (int a = 0; a < options_.region_retries && !recovered; ++a) {
         ++rep.region_retries;
         try {
-          InstanceOutcome retry;
-          retry.index = out.index;
-          const graph::FlowNetwork net = make(out.index);
-          net.validate();
-          retry.result = region_solver->solve(net, cancel);
-          consume(retry);
+          resolve_region(out.index);
           recovered = true;
         } catch (const util::CancelledError&) {
           throw;
@@ -248,12 +237,7 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
       if (!recovered) {
         ++rep.region_direct_solves;
         try {
-          InstanceOutcome direct;
-          direct.index = out.index;
-          const graph::FlowNetwork net = make(out.index);
-          net.validate();
-          direct.result = flow::push_relabel(net, cancel);
-          consume(direct);
+          resolve_region(out.index);
         } catch (const util::CancelledError&) {
           throw;
         } catch (const std::exception& e) {

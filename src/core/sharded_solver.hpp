@@ -23,13 +23,6 @@ struct ShardOptions {
   /// Region count k; clamped to the vertex count. Below 2 the solve
   /// degenerates to a direct residual solve (no partition machinery).
   int shards = 4;
-  /// Registry backend for the region subproblems. Must be exact and
-  /// non-analog (region solves feed an exactness-preserving stitch; an
-  /// approximate region flow would push its error into refinement work, and
-  /// the analog adapters' crossbar sizing is not meant for shard-scale
-  /// subproblems). The default is the kernel the refinement runs too; the
-  /// CLI, serve and bench_sharded read it from here.
-  std::string region_solver = "push_relabel";
   /// Worker threads for region solves; 0 picks hardware concurrency.
   int num_threads = 0;
   /// In-order single-thread region solves (clean traces; results are
@@ -38,12 +31,11 @@ struct ShardOptions {
   /// Partition seed (arch::partition_regions).
   std::uint64_t seed = 1;
   /// Degradation ladder, region rung: a failed (or fault-injected) region
-  /// solve is retried up to this many times through the region backend; if
-  /// every retry fails too, the region is re-solved directly on the calling
-  /// thread with the built-in push-relabel pass. Both recoveries are reported
-  /// (ShardReport::region_retries / region_direct_solves and the
-  /// fallback_region_* SolveMetrics counters); only when the direct rung
-  /// itself fails does the solve throw.
+  /// solve is retried up to this many times on the calling thread; if
+  /// every retry fails too, the region is re-solved once more as the direct
+  /// rung. Both recoveries are reported (ShardReport::region_retries /
+  /// region_direct_solves and the fallback_region_* SolveMetrics counters);
+  /// only when the direct rung itself fails does the solve throw.
   int region_retries = 1;
 };
 
@@ -89,10 +81,8 @@ class ShardedSolver final : public ISolver {
 
   /// Solves `g` in place and fills `report` when given; the solver's only
   /// report-taking entry (the name is kept for perfbench/layers.cpp).
-  /// Throws std::invalid_argument when the region backend is unknown,
-  /// approximate, or analog. `cancel` is checked at every stage boundary
-  /// and threaded into the region solves, the conservation repair, and the
-  /// refinement pass.
+  /// `cancel` is checked at every stage boundary and threaded into the
+  /// region solves, the conservation repair, and the refinement pass.
   flow::MaxFlowResult solve_csr(const graph::FlowNetwork& g,
                                 ShardReport* report = nullptr,
                                 const CancelToken& cancel = {}) const;

@@ -31,11 +31,6 @@ struct SolverCapabilities {
   /// re-solved in O(changed region) by carrying the prior solution, instead
   /// of the default from-scratch fallback.
   bool incremental = false;
-  /// Solves by k-way region decomposition with parallel region solves and
-  /// an exact refinement pass (core::ShardedSolver) — the backend callers
-  /// should route one huge instance through, rather than a batch of small
-  /// ones.
-  bool sharded = false;
 };
 
 class ISolver {

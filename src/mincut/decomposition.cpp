@@ -5,6 +5,7 @@
 #include <cmath>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 #include "core/batch_engine.hpp"
 
@@ -193,7 +194,7 @@ DecompositionResult solve_by_decomposition(const graph::FlowNetwork& net,
 
   // Custom oracles run sequentially (they may carry shared warm-start
   // state); the default path fans each iteration's k subproblems through a
-  // BatchEngine worker pool with a per-worker registry backend.
+  // BatchEngine worker pool with a per-worker push-relabel backend.
   const auto solve_all = [&](const std::vector<Subproblem>& sps) {
     std::vector<flow::MinCutResult> cuts(sps.size());
     if (options.oracle) {
@@ -205,7 +206,7 @@ DecompositionResult solve_by_decomposition(const graph::FlowNetwork& net,
     nets.reserve(sps.size());
     for (const Subproblem& sp : sps) nets.push_back(sp.net);
     core::BatchOptions bo;
-    bo.solver = options.solver;
+    bo.solver = "push_relabel";
     bo.num_threads = options.num_threads;
     const core::BatchReport rep = core::BatchEngine(bo).run(nets);
     for (size_t b = 0; b < sps.size(); ++b) {

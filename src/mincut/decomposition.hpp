@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "flow/maxflow.hpp"
@@ -58,10 +57,9 @@ struct DecompositionOptions {
   /// run sequentially (they may carry shared state); leave unset to let the
   /// engine fan the per-iteration subproblems across threads.
   std::function<flow::MinCutResult(const graph::FlowNetwork&)> oracle;
-  /// Registry backend + thread count for the default-oracle path, which
-  /// solves each iteration's num_regions subproblems through a
+  /// Thread count for the default-oracle path, which solves each
+  /// iteration's num_regions subproblems with push-relabel through a
   /// core::BatchEngine worker pool. 0 threads = hardware concurrency.
-  std::string solver = "push_relabel";
   int num_threads = 1;
 };
 

@@ -151,7 +151,7 @@ AnalogMinCutResult solve_mincut_dual(const graph::FlowNetwork& net,
 
   if (options.reuse_pool) {
     core::ReuseEntry entry;
-    entry.lu = solver.share_factorization();
+    entry.lu = solver.export_warm_start().lu_prototype;
     entry.state = std::make_shared<const circuit::DeviceState>(state);
     entry.x = std::make_shared<const std::vector<double>>(x);
     out.pool_evictions = options.reuse_pool->store(pool_key, std::move(entry));

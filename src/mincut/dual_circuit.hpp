@@ -60,7 +60,7 @@ struct DualCircuitOptions {
   /// couple. Bit-identical to the cold path by construction: only the
   /// pattern-pure column ordering is taken from the pooled prototype, and
   /// the solver is primed with the exact factorisation a cold solve would
-  /// compute first (sim::DcSolver::prime).
+  /// compute first (sim::WarmStart::prime_state).
   std::shared_ptr<core::ReusePool> reuse_pool;
   /// Iteration cap for the pooled warm attempt before falling back to the
   /// cold start (bounds the cost of a stale seed).

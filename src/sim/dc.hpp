@@ -76,11 +76,9 @@ struct DcStats {
 };
 
 /// Aggregated warm-start carry-over between same-pattern DcSolver
-/// instances — the single options struct behind what used to be four
-/// separate entry points (set_lu_prototype, seed_column_order, prime,
-/// share_factorization; all kept as thin forwarding shims). Populate the
-/// pieces you have and hand the struct to DcSolver::warm_start; the donor
-/// side snapshots its own with DcSolver::export_warm_start.
+/// instances. Populate the pieces you have and hand the struct to
+/// DcSolver::warm_start; the donor side snapshots its own with
+/// DcSolver::export_warm_start.
 ///
 /// The pieces trade speed against bit-stability independently:
 ///  - lu_prototype: factored donor SparseLU; the first factorisation
@@ -146,42 +144,9 @@ class DcSolver {
   /// never set — the receiver chooses its own canonical state.
   WarmStart export_warm_start() const;
 
-  /// Shim for warm_start({.lu_prototype = ...}): fast, last-bit unstable
-  /// (see WarmStart). Callers that need warm == cold bitwise prime instead.
-  void set_lu_prototype(std::shared_ptr<const la::SparseLU> prototype) {
-    WarmStart w;
-    w.lu_prototype = std::move(prototype);
-    warm_start(w);
-  }
-
-  /// Shim for warm_start({.column_order = ...}): bit-safe ordering seed (a
-  /// wrong-size seed is ignored, and any valid permutation costs fill,
-  /// never correctness).
-  void seed_column_order(std::vector<int> order) {
-    WarmStart w;
-    w.column_order = std::move(order);
-    warm_start(w);
-  }
-
-  /// Shim for warm_start({.prime_state = &state}): canonical priming for
-  /// bit-stable warm starts (the quasi-static sweep and min-cut dual
-  /// consumers of core::ReusePool). Call with DeviceState::initial and the
-  /// cold path's source values before seeding warm state.
-  void prime(const circuit::DeviceState& state) {
-    WarmStart w;
-    w.prime_state = &state;
-    warm_start(w);
-  }
-
   /// Fingerprint of this circuit's MNA pattern (captures the pattern on
   /// first call; the pattern is state-independent). Keys core::ReusePool.
   std::uint64_t pattern_key();
-
-  /// Shim for export_warm_start().lu_prototype: the current factorisation
-  /// as a cross-instance prototype; null when nothing has been factored.
-  std::shared_ptr<const la::SparseLU> share_factorization() const {
-    return export_warm_start().lu_prototype;
-  }
 
   const circuit::MnaAssembler& assembler() const { return assembler_; }
   /// Statistics of the most recent solve() call.
@@ -216,8 +181,8 @@ struct PooledWarmStart {
 /// looks `key` up in `pool`, seeds the pattern-pure column ordering from
 /// the pooled prototype, and — when the entry carries a state matching the
 /// solver's netlist shape — primes the solver with the cold path's first
-/// factorisation (DcSolver::prime at the initial device state, counted by
-/// `primed`, not in DcStats) and attempts a seeded solve under
+/// factorisation (WarmStart::prime_state at the initial device state,
+/// counted by `primed`, not in DcStats) and attempts a seeded solve under
 /// `iteration_budget`.
 ///
 /// On success (`solved`), `state` is the converged device state and the

@@ -79,7 +79,7 @@ SweepResult QuasiStaticSweep::run(const std::vector<double>& values,
 
   if (pooled && !first_x.empty()) {
     core::ReuseEntry entry;
-    entry.lu = solver.share_factorization();
+    entry.lu = solver.export_warm_start().lu_prototype;
     entry.state =
         std::make_shared<const circuit::DeviceState>(std::move(first_state));
     entry.x = std::make_shared<const std::vector<double>>(std::move(first_x));

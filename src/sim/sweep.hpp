@@ -11,7 +11,7 @@
 // iterations. The warm path is bit-identical to a cold sweep by
 // construction: only the pattern-pure column ordering is taken from the
 // pooled prototype, and the solver is primed with the exact factorisation a
-// cold sweep would compute first (DcSolver::prime), so every reported
+// cold sweep would compute first (WarmStart::prime_state), so every reported
 // trajectory value is the same arithmetic either way.
 #pragma once
 

@@ -1,7 +1,6 @@
-// Bounded blocking request queue between the serving front's I/O plane and
-// its fixed worker pool (multiple producers — one per I/O thread — feeding
-// multiple pool workers; the classic MPSC shape generalised to a shared
-// consumer pool).
+// Bounded blocking request queue between the serving front's I/O loop and
+// its fixed worker pool (the loop produces; the pool's workers are many
+// consumers). Any number of producers is safe.
 //
 // The queue is deliberately a mutex + two condvars rather than a lock-free
 // ring: occupancy is structurally tiny (the front schedules at most ONE
@@ -9,7 +8,7 @@
 // contention is a handful of threads, and the simple form is trivially
 // ThreadSanitizer-clean. The capacity bound is a memory-safety backstop,
 // not a flow-control mechanism — per-connection flow control happens
-// upstream (the I/O plane stops *reading* a connection at its pipelining
+// upstream (the I/O loop stops *reading* a connection at its pipelining
 // limit, so unread bytes stay in the kernel socket buffer instead of
 // becoming queued work).
 //
@@ -17,8 +16,8 @@
 // still queued back to the caller: it is only called on shutdown, when
 // pending requests are work on behalf of clients the process is about to
 // hang up on anyway — but the caller may still need the items to unwind
-// per-item bookkeeping (the serving front posts an empty response for each
-// so the connection's in-flight flag clears and its close sweep can run).
+// per-item bookkeeping (the serving front clears each item's connection
+// in-flight flag so its close sweep can run).
 #pragma once
 
 #include <condition_variable>

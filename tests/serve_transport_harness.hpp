@@ -33,9 +33,9 @@ inline const char* transport_name(Transport t) {
   return t == Transport::kUnix ? "UnixSocket" : "Tcp";
 }
 
-/// Engine + front + runner thread, configured for one transport and torn
-/// down in order. Front options may be customized (backpressure knobs);
-/// the harness always owns the listen target and a fast poll tick.
+/// Engine + front + runner thread (the front's I/O loop), configured for
+/// one transport and torn down in order. Front options may be customized
+/// (backpressure knobs); the harness always owns the listen target.
 class FrontHarness {
  public:
   explicit FrontHarness(Transport transport,
@@ -48,7 +48,6 @@ class FrontHarness {
           std::to_string(instance_counter_++) + ".sock";
     else
       front_options.tcp_address = "127.0.0.1:0"; // kernel-assigned port
-    front_options.poll_interval_ms = 10;
     front_ = std::make_unique<aflow::core::ServeFront>(engine_, front_options);
     front_->start();
     runner_ = std::thread([this] { front_->run(); });

@@ -166,6 +166,22 @@ TEST(ServeEngine, ReconfigureRejectsEdgeIndicesBeyondIntRange) {
   EXPECT_EQ(json_ll(edit, "edits_applied"), 1) << edit;
 }
 
+TEST(ServeEngine, SweepRefusesMorePointsThanItsBound) {
+  // `sweep --points N` allocates and solves N points, so a request line
+  // past the 4096-point bound is refused up front instead of running until
+  // its deadline (or, without one, for as long as N solves take).
+  core::ServeEngine engine;
+  EXPECT_TRUE(json_bool(engine.handle("load --spec grid:side=4,seed=1"), "ok"));
+  const std::string resp =
+      engine.handle("sweep --points 5000 --deadline-ms 100");
+  EXPECT_FALSE(json_bool(resp, "ok")) << resp;
+  EXPECT_EQ(json_string(resp, "code"), "invalid_argument") << resp;
+  // The bound itself is served (here cut short by its deadline).
+  const std::string bound =
+      engine.handle("sweep --points 4096 --deadline-ms 1");
+  EXPECT_EQ(bound.find("invalid_argument"), std::string::npos) << bound;
+}
+
 TEST(ServeEngine, SessionViewCountsThisSessionsRequests) {
   core::ServeOptions opt;
   opt.deterministic = true;
@@ -482,7 +498,7 @@ TEST(ServeEngine, EveryCommandRefusesWhatItDoesNotDeclare) {
           {"reconfigure", {"--edits=0:5", "--seed=1", "--scale=2"}},
           {"solve",
            {"--solver=dinic", "--check", "--scratch", "--deadline-ms=0",
-            "--shards=2", "--region-solver=dinic", "--threads=1"}},
+            "--shards=2", "--threads=1"}},
           {"batch",
            {"--spec=grid:side=4,seed=1", "--solver=dinic", "--check",
             "--delta", "--deadline-ms=0"}},

@@ -40,6 +40,22 @@ long long response_id(const std::string& json) {
   return std::strtoll(json.c_str() + at + needle.size(), nullptr, 10);
 }
 
+/// The process thread count once it has held still for 50 ms (waiting at
+/// most 2 s). Threads that earlier tests joined can stay in the count for
+/// a moment after their join returns, so it may fall while they drain, but
+/// it may never rise: a thread born now is one the caller did not expect.
+int settled_thread_count() {
+  int count = serve_test::process_thread_count();
+  for (int steady = 0, waits = 0; steady < 5 && waits < 200; ++waits) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int now = serve_test::process_thread_count();
+    EXPECT_LE(now, count) << "a thread started while the count settled";
+    steady = now == count ? steady + 1 : 0;
+    count = now;
+  }
+  return count;
+}
+
 class ServeFrontTransport : public ::testing::TestWithParam<Transport> {};
 
 } // namespace
@@ -252,20 +268,9 @@ TEST_P(ServeFrontTransport, HundredsOfIdleConnectionsCostNoThreads) {
   clients.back()->send_raw("session\n");
   EXPECT_TRUE(json_ok(clients.back()->read_line()));
 
-  // Threads that earlier tests joined can stay in the process count for a
-  // moment after their join returns. The baseline may therefore fall while
-  // they drain, until it has held still for 50 ms (waiting at most 2 s),
-  // but it may never rise: a thread born now is a front thread that did
+  // A thread born while the baseline settles is a front thread that did
   // not exist after the first request.
-  int threads_before = serve_test::process_thread_count();
-  for (int steady = 0, waits = 0; steady < 5 && waits < 200; ++waits) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const int now = serve_test::process_thread_count();
-    ASSERT_LE(now, threads_before)
-        << "the front started a thread after its first request";
-    steady = now == threads_before ? steady + 1 : 0;
-    threads_before = now;
-  }
+  const int threads_before = settled_thread_count();
   while (static_cast<int>(clients.size()) < kConnections) {
     clients.push_back(std::make_unique<Client>(harness));
     ASSERT_TRUE(clients.back()->connected())
@@ -291,6 +296,24 @@ TEST_P(ServeFrontTransport, HundredsOfIdleConnectionsCostNoThreads) {
             kConnections);
 }
 
+TEST_P(ServeFrontTransport, RunStartsTheWorkersAndNoOtherThread) {
+  // The I/O loop runs on the thread that calls run() (here the harness's
+  // runner thread), so once the first request round-trips the process runs
+  // exactly that thread and the configured workers beyond its baseline.
+  const int threads_before = settled_thread_count();
+  core::ServeFrontOptions fo;
+  fo.workers = 2;
+  FrontHarness harness(GetParam(), {}, fo);
+  Client c(harness);
+  c.send_raw("session\n");
+  EXPECT_TRUE(json_ok(c.read_line()));
+  const int threads_serving = serve_test::process_thread_count();
+  if (threads_before > 0 && threads_serving > 0) {
+    EXPECT_EQ(threads_serving, threads_before + 1 + fo.workers)
+        << "the front runs a thread beyond its loop and workers";
+  }
+}
+
 TEST_P(ServeFrontTransport, StatsFrontObjectKeepsItsKeyOrder) {
   // The wire format of the `stats` response's "front" object: the two
   // plane sizes, then the ten counters in docs/BENCH_FORMAT.md order.
@@ -314,6 +337,8 @@ TEST_P(ServeFrontTransport, StatsFrontObjectKeepsItsKeyOrder) {
                       "backpressure_pauses", "oversized_frames",
                       "hangup_cancels", "short_writes"}))
       << front;
+  // One loop, always: the key stays in aflow-serve-v1 and reads 1.
+  EXPECT_NE(front.find("\"io_threads\":1,"), std::string::npos) << front;
   EXPECT_NE(front.find(GetParam() == Transport::kUnix ? "\"accepted_unix\":1"
                                                      : "\"accepted_tcp\":1"),
             std::string::npos)
@@ -425,10 +450,9 @@ INSTANTIATE_TEST_SUITE_P(Transports, ServeFrontTransport,
 
 TEST(ServeFrontShutdown, StopWithQueuedRequestsDoesNotHangRun) {
   // Regression: shutdown while a request sits in the worker queue. The
-  // queue's close() hands the never-popped items back and run() posts an
-  // empty response for each; before that, the orphaned connection kept
-  // `executing` set forever, so the I/O loop (and run()'s join of it)
-  // never finished.
+  // queue's close() hands the never-popped items back and the loop clears
+  // `executing` on each; without that, the orphaned connection kept
+  // `executing` set forever, so the I/O loop (and run()) never finished.
   util::FaultInjector::instance().arm("batch.solve:delay:1000");
   core::ServeFrontOptions fo;
   fo.workers = 1; // one stalled worker means everything else queues

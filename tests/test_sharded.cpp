@@ -5,8 +5,10 @@
 // registry/capability wiring, and the serve-protocol `solve --shards` path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/registry.hpp"
@@ -68,12 +70,11 @@ TEST(Sharded, MatchesDirectSolverAcrossGeneratorsAndShardCounts) {
   EXPECT_GE(cases, 50);
 }
 
-TEST(Sharded, RegisteredWithShardedCapability) {
+TEST(Sharded, RegisteredAsAnExactBackend) {
   auto& reg = core::SolverRegistry::instance();
   ASSERT_TRUE(reg.contains("sharded"));
   const auto solver = reg.create("sharded");
   EXPECT_EQ(solver->name(), "sharded");
-  EXPECT_TRUE(solver->capabilities().sharded);
   EXPECT_TRUE(solver->capabilities().exact);
   EXPECT_FALSE(solver->capabilities().analog);
 
@@ -83,33 +84,9 @@ TEST(Sharded, RegisteredWithShardedCapability) {
               1e-9);
 }
 
-TEST(Sharded, RejectsApproximateOrUnknownRegionSolvers) {
-  const auto net = graph::rmat(40, 160, {}, 2);
-    for (const std::string bad : {"analog_dc", "analog_transient",
-                                "analog_dc_warm"}) {
-    core::ShardOptions opt;
-    opt.region_solver = bad;
-    EXPECT_THROW(core::ShardedSolver(opt).solve_csr(net), std::invalid_argument)
-        << bad;
-  }
-  core::ShardOptions unknown;
-  unknown.region_solver = "no_such_backend";
-  EXPECT_THROW(core::ShardedSolver(unknown).solve_csr(net),
-               std::invalid_argument);
+TEST(Sharded, RejectsAShardCountBelowOne) {
   EXPECT_THROW(core::ShardedSolver(core::ShardOptions{.shards = 0}),
                std::invalid_argument);
-}
-
-TEST(Sharded, ExactRegionSolversAllWork) {
-  const auto net = graph::uniform_random(70, 320, 24, 5);
-  const double exact = flow::dinic(net).flow_value;
-    for (const std::string name : {"dinic", "edmonds_karp", "push_relabel"}) {
-    core::ShardOptions opt;
-    opt.shards = 4;
-    opt.region_solver = name;
-    EXPECT_NEAR(core::ShardedSolver(opt).solve_csr(net).flow_value, exact, 1e-9)
-        << name;
-  }
 }
 
 TEST(Sharded, DeterministicAcrossRunsAndThreadCounts) {
@@ -189,28 +166,18 @@ TEST(Sharded, ServeSolveShardsMatchesDirectPath) {
     return std::stod(json.substr(at + 7));
   };
 
-  const std::string sharded =
-      engine.handle("solve --shards 4 --region-solver push_relabel");
+  const std::string sharded = engine.handle("solve --shards 4");
   ASSERT_NE(sharded.find("\"ok\":true"), std::string::npos) << sharded;
   EXPECT_NE(sharded.find("\"solver\":\"sharded\""), std::string::npos)
       << sharded;
   EXPECT_NE(sharded.find("\"shards\":{"), std::string::npos) << sharded;
   EXPECT_NE(sharded.find("\"upper_bound\":"), std::string::npos) << sharded;
   EXPECT_NEAR(flow_of(sharded), flow_of(direct), 1e-9);
-
-  // A bad region backend surfaces as a clean ok:false, not a dead session.
-  const std::string bad =
-      engine.handle("solve --shards 4 --region-solver analog_dc");
-  EXPECT_NE(bad.find("\"ok\":false"), std::string::npos) << bad;
-  EXPECT_NE(engine.handle("solve --solver dinic").find("\"ok\":true"),
-            std::string::npos);
 }
 
-// Without --region-solver, serve's sharded solve uses the ShardOptions
-// default, push-relabel (the kernel the refinement runs too), and still
-// answers the direct solve's flow.
-TEST(Sharded, ServeSolveShardsDefaultsToTheShardOptionsRegionSolver) {
-  EXPECT_EQ(core::ShardOptions{}.region_solver, "push_relabel");
+// Serve's sharded solve runs its regions with push-relabel (the kernel the
+// refinement runs too), says so, and still answers the direct solve's flow.
+TEST(Sharded, ServeSolveShardsReportsPushRelabelRegions) {
   core::ServeOptions opt;
   opt.deterministic = true;
   core::ServeEngine engine(opt);
@@ -229,4 +196,23 @@ TEST(Sharded, ServeSolveShardsDefaultsToTheShardOptionsRegionSolver) {
             std::string::npos)
       << sharded;
   EXPECT_NEAR(flow_of(sharded), flow_of(direct), 1e-9);
+}
+
+// A request line cannot size the region fan-out past the hardware: however
+// many regions `solve --shards` asks for, `--threads` is clamped to
+// hardware_concurrency.
+TEST(Sharded, ServeSolveShardsClampsThreadsToTheHardware) {
+  const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const int shards = std::min(64, 2 * hardware);
+  core::ServeEngine engine;
+  const std::string load = engine.handle("load --spec grid:side=12,seed=1");
+  ASSERT_NE(load.find("\"ok\":true"), std::string::npos) << load;
+  const std::string sharded = engine.handle(
+      "solve --shards " + std::to_string(shards) + " --threads 1024");
+  ASSERT_NE(sharded.find("\"ok\":true"), std::string::npos) << sharded;
+  const size_t at =
+      sharded.find("\"threads\":", sharded.find("\"shards\":{"));
+  ASSERT_NE(at, std::string::npos) << sharded;
+  EXPECT_LE(std::stoi(sharded.substr(at + 10)), hardware) << sharded;
 }

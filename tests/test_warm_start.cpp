@@ -138,13 +138,15 @@ TEST(DcSolverWarmStart, PrototypeEntrySkipsSymbolicAnalysis) {
   sim::DcSolver first(c0.netlist);
   circuit::DeviceState s0 = circuit::DeviceState::initial(c0.netlist);
   first.solve(s0);
-  const auto prototype = first.share_factorization();
+  const auto prototype = first.export_warm_start().lu_prototype;
   ASSERT_NE(prototype, nullptr);
 
   sim::DcSolver second(c1.netlist);
   ASSERT_EQ(second.pattern_key(), first.pattern_key())
       << "capacity variants must share the MNA pattern";
-  second.set_lu_prototype(prototype);
+  sim::WarmStart w;
+  w.lu_prototype = prototype;
+  second.warm_start(w);
   circuit::DeviceState s1 = circuit::DeviceState::initial(c1.netlist);
   second.solve(s1);
   EXPECT_EQ(second.stats().full_factors, 0);

@@ -110,8 +110,9 @@ flow::MaxFlowResult solve_sharded(const core::ShardOptions& options,
 
   std::printf("instance:  %s (%d vertices, %d edges)\n", input.c_str(),
               net.num_vertices(), net.num_edges());
-  std::printf("solver:    sharded (%d regions, region solver %s, %d threads)\n",
-              rep.regions, options.region_solver.c_str(), rep.threads_used);
+  std::printf("solver:    sharded (%d regions, region solver push_relabel, "
+              "%d threads)\n",
+              rep.regions, rep.threads_used);
   std::printf("cut arcs:  %d (capacity %.10g)\n", rep.cut_arcs,
               rep.cut_capacity);
   std::printf("bound:     %.10g (pre-refinement upper bound)\n",
@@ -132,7 +133,6 @@ int cmd_solve(const util::Args& a) {
   if (input.empty()) a.refuse("solve needs --input FILE.dimacs");
   core::ShardOptions shard;
   shard.shards = a.number("--shards", 0);
-  shard.region_solver = a.string("--region-solver", shard.region_solver);
   shard.num_threads = a.number("--threads", 0);
   shard.seed = a.number("--seed", shard.seed);
   const std::string solver_name = a.string("--solver", "dinic");
@@ -263,7 +263,6 @@ int cmd_serve(const util::Args& a) {
   front_options.tcp_address = tcp_address;
   const int max_line = a.number("--max-line-bytes", 0);
   if (max_line > 0) front_options.max_line_bytes = static_cast<size_t>(max_line);
-  front_options.io_threads = a.number("--io-threads", front_options.io_threads);
   front_options.workers = a.number("--front-workers", front_options.workers);
   front_options.max_pipeline =
       a.number("--max-pipeline", front_options.max_pipeline);
@@ -333,8 +332,8 @@ const Command kCommands[] = {
     {"solvers", cmd_solvers, {}},
     {"solve", cmd_solve,
      {{"--input", "FILE.dimacs"}, {"--solver", "NAME"}, {"--check"},
-      {"--expect-flow", "V"}, {"--shards", "K"}, {"--region-solver", "NAME"},
-      {"--threads", "N"}, {"--seed", "S"}}},
+      {"--expect-flow", "V"}, {"--shards", "K"}, {"--threads", "N"},
+      {"--seed", "S"}}},
     {"gen", cmd_gen, {{"--spec", "GENSPEC"}, {"--output", "FILE.dimacs"}}},
     {"bench", cmd_bench,
      {{"--batch", "SPEC_OR_PATH"}, {"--solver", "NAME"}, {"--threads", "N"},
@@ -343,7 +342,7 @@ const Command kCommands[] = {
      {{"--solver", "NAME"}, {"--threads", "N"}, {"--deterministic"},
       {"--pool-budget-mb", "M"}, {"--listen", "PATH"}, {"--tcp", "HOST:PORT"},
       {"--max-sessions", "N"}, {"--max-line-bytes", "B"},
-      {"--io-threads", "N"}, {"--front-workers", "N"}, {"--max-pipeline", "N"},
+      {"--front-workers", "N"}, {"--max-pipeline", "N"},
       {"--deadline-ms", "N"}, {"--fallback", "NAME"},
       {"--faults", "SCHEDULE"}}},
 };

@@ -34,9 +34,17 @@ a per-failure report if any dangles:
    block may name no request or flag the table lacks. A missing table
    fails the check too.
 
+5. CLI invocations. A fenced code block of ``README.md`` or
+   ``docs/BENCH_FORMAT.md`` may run ``aflow COMMAND`` only for a command of
+   the command table (``kCommands`` in ``tools/aflow_cli.cpp``) and may pass
+   it only flags that the command's row declares (backslash continuations
+   are joined; a command's flags end at the first shell operator). A
+   missing table fails the check too.
+
 Stdlib only; run from anywhere inside the repo.
 """
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -52,6 +60,8 @@ COUNTER_TABLES = {
 }
 METRICS_DOC = REPO / "docs" / "BENCH_FORMAT.md"
 SERVE_TABLE = REPO / "src" / "core" / "serve_engine.cpp"
+CLI_TABLE = REPO / "tools" / "aflow_cli.cpp"
+CLI_DOCS = [REPO / "README.md", METRICS_DOC]
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CITATION = re.compile(
@@ -136,14 +146,15 @@ def check_counter_tables(failures):
                     f"({macro} in {rel}) has no table row")
 
 
-def serve_table():
-    """{request: [flags]} from the rows of serve's kCommands table, or None
-    when the table is missing."""
-    text = SERVE_TABLE.read_text(encoding="utf-8")
-    table = re.search(r"kCommands = \{(.*?)\n\s*\};", text, re.S)
+def command_table(path, table_re, row_re):
+    """{command: [flags]} from the rows of a command table (`table_re`
+    captures its body, `row_re` a row's name), or None when the table is
+    missing."""
+    text = path.read_text(encoding="utf-8")
+    table = re.search(table_re, text, re.S)
     if not table:
         return None
-    rows = list(re.finditer(r'\{"(\w+)",\s*&\w+::\w+', table.group(1)))
+    rows = list(re.finditer(row_re, table.group(1)))
     return {
         row.group(1): re.findall(
             r'\{"(--[\w-]+)"',
@@ -168,7 +179,8 @@ def serve_grammar(md_path):
 
 
 def check_serve_grammar(failures):
-    table = serve_table()
+    table = command_table(SERVE_TABLE, r"kCommands = \{(.*?)\n\s*\};",
+                          r'\{"(\w+)",\s*&\w+::\w+')
     doc = METRICS_DOC.relative_to(REPO)
     if not table:
         failures.append(f"{SERVE_TABLE.relative_to(REPO)}: no kCommands "
@@ -194,10 +206,51 @@ def check_serve_grammar(failures):
                             f"{flag}`, which the request table lacks")
 
 
+def cli_invocations(md_path):
+    """(command, [flags]) for every `aflow COMMAND ...` in the fenced code
+    blocks of md_path."""
+    text = md_path.read_text(encoding="utf-8")
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M):
+        for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+            for m in re.finditer(r"(?<![\w-])aflow\s+([a-z]\w*)", line):
+                lexer = shlex.shlex(line[m.end():], posix=True,
+                                    punctuation_chars=True)
+                lexer.whitespace_split = True
+                flags = []
+                for token in lexer:
+                    if set(token) <= set("();<>|&"):
+                        break
+                    if token.startswith("--"):
+                        flags.append(token.split("=")[0])
+                yield m.group(1), flags
+
+
+def check_cli_invocations(failures):
+    table = command_table(CLI_TABLE, r"kCommands\[\] = \{(.*?)\n\};",
+                          r'\{"(\w+)",\s*cmd_\w+')
+    if not table:
+        failures.append(f"{CLI_TABLE.relative_to(REPO)}: no kCommands "
+                        f"command table found")
+        return
+    for md in CLI_DOCS:
+        rel = md.relative_to(REPO)
+        for command, flags in cli_invocations(md):
+            if command not in table:
+                failures.append(f"{rel}: a code block runs `aflow {command}`, "
+                                f"which the command table lacks")
+                continue
+            for flag in flags:
+                if flag not in table[command]:
+                    failures.append(f"{rel}: a code block passes `aflow "
+                                    f"{command} {flag}`, which the command "
+                                    f"table does not declare")
+
+
 def main():
     failures = []
     check_counter_tables(failures)
     check_serve_grammar(failures)
+    check_cli_invocations(failures)
 
     for md in md_files():
         rel = md.relative_to(REPO)
@@ -241,8 +294,9 @@ def main():
             print(f"  {f}")
         return 1
     print("check_doc_links: all markdown links and doc citations resolve, "
-          "every telemetry counter is documented, and the serve request "
-          "grammar matches the request table.")
+          "every telemetry counter is documented, the serve request "
+          "grammar matches the request table, and every documented aflow "
+          "command line uses only declared flags.")
     return 0
 
 
