@@ -2,6 +2,7 @@
 
 #include <new>
 
+#include "graph/dimacs.hpp"
 #include "sim/transient.hpp"
 #include "util/cancel.hpp"
 
@@ -48,7 +49,9 @@ ErrorInfo classify_error(const std::exception& e) {
     if (info.message.empty()) info.message = "allocation failed";
     return info;
   }
-  if (dynamic_cast<const std::invalid_argument*>(&e)) {
+  // A malformed DIMACS file is a wrong request input, like a bad flag.
+  if (dynamic_cast<const std::invalid_argument*>(&e) ||
+      dynamic_cast<const graph::DimacsError*>(&e)) {
     info.code = "invalid_argument";
     info.retryable = false;
     return info;

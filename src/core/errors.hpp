@@ -40,9 +40,9 @@ struct ErrorInfo {
 /// util::CancelledError (deadline_exceeded / cancelled, retryable),
 /// sim::DivergenceError (divergence, retryable, diagnosis fields),
 /// sim::ConvergenceError (convergence, retryable), std::bad_alloc
-/// (resource_exhausted, retryable), std::invalid_argument
-/// (invalid_argument, fatal), and injected faults (fault_injected,
-/// retryable); everything else is `internal`, fatal.
+/// (resource_exhausted, retryable), std::invalid_argument and
+/// graph::DimacsError (invalid_argument, fatal), and injected faults
+/// (fault_injected, retryable); everything else is `internal`, fatal.
 ErrorInfo classify_error(const std::exception& e);
 
 /// Serialises `info` as the value of an `error_info` key:

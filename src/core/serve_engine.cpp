@@ -414,10 +414,17 @@ void ServeSession::cmd_load(const util::Args& a, util::JsonWriter& j) {
   const std::string spec = a.string("--spec", "");
   if (input.empty() == spec.empty())
     throw std::invalid_argument("load needs exactly one of --input or --spec");
-  const std::vector<graph::FlowNetwork> instances =
+  std::vector<graph::FlowNetwork> instances =
       load_batch(input.empty() ? spec : input);
-  base_ = instances.front();
-  current_ = base_;
+  // The session keeps the first instance itself and, for `reconfigure
+  // --seed`, only its capacities as loaded: 8 bytes per edge, not a
+  // second network.
+  std::vector<double> capacities;
+  capacities.reserve(static_cast<size_t>(instances.front().num_edges()));
+  for (const graph::Edge& e : instances.front().edges())
+    capacities.push_back(e.capacity);
+  current_ = std::move(instances.front());
+  loaded_capacities_ = std::move(capacities);
   // A load may change the topology: restart the reconfiguration stream and
   // drop the priors, with their kept residuals, of the previous instance.
   ++revision_;
@@ -464,15 +471,18 @@ void ServeSession::cmd_reconfigure(const util::Args& a, util::JsonWriter& j) {
               });
     delta.edits = std::move(changed);
   } else {
-    // --seed reprograms the *base* topology deterministically (same seed,
-    // same instance, independent of reconfiguration history) and --scale
-    // rescales every edge: build the next instance and diff it.
-    graph::FlowNetwork next =
-        seed >= 0
-            ? capacity_variants(*base_, 2, static_cast<std::uint64_t>(seed))[1]
-            : *current_;
-    if (scaled)
-      next = next.transform_capacities([scale](double c) { return c * scale; });
+    // --seed reprograms the capacities as loaded with capacity_variants'
+    // factors (same seed, same instance, independent of reconfiguration
+    // history) and --scale rescales every edge: build the next instance
+    // and diff it.
+    std::optional<CapacityFactors> factors;
+    if (seed >= 0) factors.emplace(static_cast<std::uint64_t>(seed));
+    size_t edge = 0;
+    graph::FlowNetwork next = current_->transform_capacities([&](double c) {
+      const double reprogrammed =
+          factors ? loaded_capacities_[edge++] * factors->next() : c;
+      return scaled ? reprogrammed * scale : reprogrammed;
+    });
     delta.apply(next); // validates indices and capacities
     delta = flow::delta_between(*current_, next);
     current_ = std::move(next);

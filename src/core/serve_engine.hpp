@@ -181,8 +181,8 @@ class ServeSession {
   util::CancelToken session_token_ = util::CancelToken::cancellable();
   long long deadline_ms_ = 0;
 
-  std::optional<graph::FlowNetwork> base_;    // as loaded
   std::optional<graph::FlowNetwork> current_; // after reconfigurations
+  std::vector<double> loaded_capacities_;     // current_'s, as loaded
 
   // Reconfiguration-stream state behind the delta solve path. Every
   // capacity mutation bumps revision_ and logs its edits; load (a

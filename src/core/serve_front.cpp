@@ -86,6 +86,8 @@ struct Response {
   bool session_done = false;
 };
 
+using Clock = std::chrono::steady_clock;
+
 constexpr int kListenBacklog = 128;
 /// Poll timeout: bounds how late the loop notices the end of the drain
 /// grace, or a shutdown flag set without a wake. Readiness, responses and
@@ -173,6 +175,9 @@ class FrontRuntime {
   void worker_main();
   void begin_stop();
   void join_workers();
+  /// Accepts until the listener drains. Out of descriptors, it pauses the
+  /// listener: a connection stays queued, so the listener would poll ready
+  /// at once and the loop would spin.
   void accept_all(int lfd, bool tcp);
   void handle_response(Response& r);
   void append_response(Conn& c, const std::string& text);
@@ -200,6 +205,9 @@ class FrontRuntime {
   std::vector<std::shared_ptr<Conn>> conns_;
   /// Shutdown has begun: no accepts, reads or dispatches.
   bool stopping_ = false;
+  /// Per listener (unix, tcp): left out of the poll set until this time, or
+  /// until a connection closes, after accept() ran out of descriptors.
+  Clock::time_point accept_paused_until_[2] = {};
   std::vector<std::thread> workers_; // last: they use every member above
 };
 
@@ -262,7 +270,6 @@ void FrontRuntime::serve() {
   util::Poller poller;
   std::vector<Response> responses;
   std::vector<size_t> slots;
-  using Clock = std::chrono::steady_clock;
   Clock::time_point drain_deadline{};
   bool draining = false; // workers joined: flush, then close
 
@@ -308,11 +315,14 @@ void FrontRuntime::serve() {
     poller.clear();
     slots.clear();
     const size_t wake_slot = poller.add(impl_.wake.read_fd(), POLLIN);
-    // poll(2) skips a negative fd: an absent listener, or any listener
-    // once shutdown has begun, never reads ready.
-    const size_t unix_slot =
-        poller.add(stopping_ ? -1 : impl_.unix_fd, POLLIN);
-    const size_t tcp_slot = poller.add(stopping_ ? -1 : impl_.tcp_fd, POLLIN);
+    // poll(2) skips a negative fd: an absent listener, a paused one, or
+    // any listener once shutdown has begun, never reads ready.
+    const Clock::time_point now = Clock::now();
+    const auto listener = [&](int fd, bool tcp) {
+      return stopping_ || now < accept_paused_until_[tcp] ? -1 : fd;
+    };
+    const size_t unix_slot = poller.add(listener(impl_.unix_fd, false), POLLIN);
+    const size_t tcp_slot = poller.add(listener(impl_.tcp_fd, true), POLLIN);
     for (const std::shared_ptr<Conn>& conn : conns_) {
       short events = POLLRDHUP; // hangup detection stays on through pauses
       if (!conn->hungup && !conn->done && !conn->reading_paused && !stopping_)
@@ -366,9 +376,12 @@ void FrontRuntime::accept_all(int lfd, bool tcp) {
     const int fd = ::accept(lfd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      // Anything else — EAGAIN (drained), ECONNABORTED, or fd/memory
-      // pressure (EMFILE/ENFILE/ENOMEM) — waits for the next poll cycle,
-      // and a broken listener keeps erroring harmlessly until shutdown.
+      if (errno == EMFILE || errno == ENFILE)
+        accept_paused_until_[tcp] =
+            Clock::now() + std::chrono::milliseconds(kPollIntervalMs);
+      // Anything else — EAGAIN (drained), ECONNABORTED, or memory pressure
+      // (ENOMEM) — waits for the next poll cycle, and a broken listener
+      // keeps erroring harmlessly until shutdown.
       break;
     }
     try {
@@ -568,6 +581,8 @@ void FrontRuntime::close_conn(Conn& c) {
   c.session.reset(); // frees the max_sessions slot
   ::close(c.fd);
   telemetry_.open_connections.fetch_sub(1);
+  // The freed descriptor may let a paused listener's queue in.
+  accept_paused_until_[0] = accept_paused_until_[1] = {};
 }
 
 } // namespace

@@ -273,11 +273,10 @@ std::vector<graph::FlowNetwork> capacity_variants(
   std::vector<graph::FlowNetwork> out;
   out.reserve(count);
   out.push_back(base);
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> factor(0.5, 1.5);
+  CapacityFactors factors(seed);
   for (int i = 1; i < count; ++i)
     out.push_back(
-        base.transform_capacities([&](double c) { return c * factor(rng); }));
+        base.transform_capacities([&](double c) { return c * factors.next(); }));
   return out;
 }
 

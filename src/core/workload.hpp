@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -45,11 +46,26 @@ std::vector<graph::FlowNetwork> load_batch(const std::string& spec_or_path);
 /// other kinds materialise the FlowNetwork and write it out.
 void write_spec_dimacs(const std::string& spec, const std::string& path);
 
+/// The capacity factors of capacity_variants: i.i.d. uniform on [0.5, 1.5]
+/// from one stream seeded by `seed`, drawn edge by edge, variant by variant.
+/// Serve's `reconfigure --seed K` scales the capacities as loaded by the
+/// first m factors of stream K, so it answers as capacity_variants(loaded,
+/// 2, K)[1] without building either variant.
+class CapacityFactors {
+ public:
+  explicit CapacityFactors(std::uint64_t seed) : rng_(seed) {}
+  double next() { return factor_(rng_); }
+
+ private:
+  std::mt19937_64 rng_;
+  std::uniform_real_distribution<double> factor_{0.5, 1.5};
+};
+
 /// Reconfiguration batch: `count` same-topology copies of `base` with every
-/// capacity rescaled by an i.i.d. factor drawn uniformly from [0.5, 1.5]
-/// (seeded, deterministic). Variant 0 is `base` unchanged. Same graph, same
-/// MNA pattern, new values — the substrate's reprogramming scenario and the
-/// natural workload for the cross-instance warm-start layer.
+/// capacity rescaled by a CapacityFactors draw (seeded, deterministic).
+/// Variant 0 is `base` unchanged. Same graph, same MNA pattern, new values
+/// — the substrate's reprogramming scenario and the natural workload for
+/// the cross-instance warm-start layer.
 std::vector<graph::FlowNetwork> capacity_variants(
     const graph::FlowNetwork& base, int count, std::uint64_t seed);
 

@@ -8,6 +8,7 @@
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace aflow::graph {
@@ -60,12 +61,13 @@ class FlowNetwork {
   /// malformed one: every constructor and mutator checks what it sets.
   void validate() const;
 
-  /// Returns a copy with `capacity -> f(capacity)` applied to every edge.
+  /// Returns a copy with `capacity -> f(capacity)` applied to every edge,
+  /// in edge order.
   template <typename F>
   FlowNetwork transform_capacities(F&& f) const {
-    FlowNetwork out(num_vertices_, source_, sink_);
-    for (const Edge& e : edges_) out.add_edge(e.from, e.to, f(e.capacity));
-    return out;
+    std::vector<Edge> edges = edges_;
+    for (Edge& e : edges) e.capacity = f(e.capacity);
+    return FlowNetwork(num_vertices_, source_, sink_, std::move(edges));
   }
 
  private:

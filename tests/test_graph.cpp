@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
@@ -442,6 +444,164 @@ TEST(Dimacs, ReaderRejectsOutOfRangeNodeDesignators) {
       EXPECT_NE(msg.find("outside 1..4"), std::string::npos) << msg;
       EXPECT_NE(msg.find("line "), std::string::npos) << msg;
     }
+  }
+}
+
+namespace {
+
+/// The message read_dimacs throws for `text` ("" when it parses).
+std::string dimacs_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    graph::read_dimacs(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+} // namespace
+
+TEST(Dimacs, ReaderRefusesTrailingFieldsAndNonDecimalCapacities) {
+  // Each probe used to be read as a guess: capacity 5, capacity 4, capacity
+  // 16, and a problem or node line with a stray field ignored.
+  const std::string head = "p max 3 2\nn 1 s\nn 3 t\n";
+  const std::pair<std::string, std::string> probes[] = {
+      {head + "a 1 2 5 7\na 2 3 4\n",
+       "trailing characters after the last field at line 4"},
+      {head + "a 1 2 5\na 2 3 4abc\n",
+       "arc capacity is not a decimal number at line 5"},
+      {head + "a 1 2 5\na 2 3 0x10\n",
+       "arc capacity is not a decimal number at line 5"},
+      {"p max 3 2 9\nn 1 s\nn 3 t\na 1 2 5\na 2 3 4\n",
+       "trailing characters after the last field at line 1"},
+      {"p max 3 2\nn 1 source\nn 3 t\na 1 2 5\na 2 3 4\n",
+       "node role must be 's' or 't' at line 2"},
+  };
+  for (const auto& [text, what] : probes)
+    EXPECT_NE(dimacs_error(text).find("read_dimacs: " + what),
+              std::string::npos)
+        << text << " -> '" << dimacs_error(text) << "'";
+
+  // Every decimal form strtod reads is still a capacity, and trailing
+  // whitespace (a CRLF ending included) is not a field.
+  std::istringstream ok(
+      "p max 3 6 \t\r\nn 1 s\t\nn 3 t \n"
+      "a 1 2 +5\na 1 2 5.\r\na 1 2 .5e1\na 2 3 1E3 \na 2 3 007\n"
+      "a 2 3 999999999999999\t\r\n");
+  const graph::FlowNetwork net = graph::read_dimacs(ok);
+  ASSERT_EQ(net.num_edges(), 6);
+  const double caps[] = {5.0, 5.0, 5.0, 1000.0, 7.0, 999999999999999.0};
+  for (int e = 0; e < 6; ++e) EXPECT_EQ(net.edge(e).capacity, caps[e]) << e;
+}
+
+namespace {
+
+constexpr size_t kReadBlock = size_t{1} << 20; // read_dimacs's block size
+
+/// A DIMACS body for `net` that spans three read blocks and more: arcs, a
+/// comment line longer than one block, then the rest of the arcs. Every
+/// third arc line ends in CRLF and the last one has no newline.
+/// `line_start` holds each line's offset in the body.
+struct LongRendition {
+  std::string body;
+  std::vector<size_t> line_start;
+};
+
+LongRendition long_rendition(const graph::FlowNetwork& net) {
+  LongRendition r;
+  const auto add = [&](const std::string& line) {
+    r.line_start.push_back(r.body.size());
+    r.body += line;
+  };
+  add("p max " + std::to_string(net.num_vertices()) + " " +
+      std::to_string(net.num_edges()) + "\n");
+  add("n " + std::to_string(net.source() + 1) + " s\n");
+  add("n " + std::to_string(net.sink() + 1) + " t\r\n");
+  for (int e = 0; e < net.num_edges(); ++e) {
+    if (e == net.num_edges() * 11 / 20)
+      add("c " + std::string(kReadBlock + 4096, 'x') + "\n");
+    std::ostringstream line;
+    line.precision(std::numeric_limits<double>::max_digits10);
+    line << "a " << net.edge(e).from + 1 << ' ' << net.edge(e).to + 1 << ' '
+         << net.edge(e).capacity;
+    add(line.str() + (e + 1 == net.num_edges() ? ""
+                      : e % 3 == 0              ? "\r\n"
+                                                : "\n"));
+  }
+  return r;
+}
+
+/// Integral capacities (the exact in-place path) and capacities strtod
+/// converts: fractions, 16+ digits, 17-digit doubles.
+graph::FlowNetwork long_network() {
+  graph::FlowNetwork net(1000, 0, 999);
+  for (int e = 0; e < 120000; ++e) {
+    const int from = e % 997, to = (e * 7 + 1) % 1000;
+    double cap = 1.0 + e % 500;
+    if (e % 5 == 1) cap = 0.5 + e % 97;
+    if (e % 5 == 2) cap = 1.0 / (e + 3);
+    if (e % 5 == 3) cap = 999999999999999.0 + e % 3; // 15 and 16 digits
+    if (from != to) net.add_edge(from, to, cap);
+  }
+  return net;
+}
+
+/// The first difference between two networks, or "" when they agree edge
+/// for edge.
+std::string first_difference(const graph::FlowNetwork& a,
+                             const graph::FlowNetwork& b) {
+  if (a.num_vertices() != b.num_vertices() || a.num_edges() != b.num_edges() ||
+      a.source() != b.source() || a.sink() != b.sink())
+    return "shape differs";
+  for (int e = 0; e < a.num_edges(); ++e)
+    if (a.edge(e).from != b.edge(e).from || a.edge(e).to != b.edge(e).to ||
+        a.edge(e).capacity != b.edge(e).capacity)
+      return "edge " + std::to_string(e) + " differs";
+  return "";
+}
+
+} // namespace
+
+TEST(Dimacs, ReaderBlockBoundaryBattery) {
+  // A leading comment of 0..23 bytes more shifts every block boundary
+  // across a whole arc line, so boundaries fall at a line start, inside a
+  // field, between '\r' and '\n', and inside the long comment.
+  const graph::FlowNetwork net = long_network();
+  const LongRendition r = long_rendition(net);
+  ASSERT_GT(r.body.size(), 3 * kReadBlock);
+  int at_line_start = 0, mid_line = 0, inside_crlf = 0;
+  for (size_t pad = 0; pad < 24; ++pad) {
+    const std::string text = "c" + std::string(pad, ' ') + "\n" + r.body;
+    for (size_t b = kReadBlock; b < text.size(); b += kReadBlock) {
+      at_line_start += text[b - 1] == '\n';
+      mid_line += text[b - 1] != '\n';
+      inside_crlf += text[b - 1] == '\r';
+    }
+    std::istringstream in(text);
+    EXPECT_EQ(first_difference(graph::read_dimacs(in), net), "")
+        << "pad " << pad;
+  }
+  EXPECT_GT(at_line_start, 0);
+  EXPECT_GT(mid_line, 0);
+  EXPECT_GT(inside_crlf, 0);
+
+  // A malformed arc after the first block names its own line: one that
+  // straddles the first boundary, and one inside the fourth block.
+  const std::string pad_line = "c\n";
+  for (const size_t offset : {kReadBlock, 3 * kReadBlock + 1000}) {
+    const size_t at = offset - pad_line.size();
+    const auto next = std::upper_bound(r.line_start.begin(),
+                                       r.line_start.end(), at);
+    const size_t index = static_cast<size_t>(next - r.line_start.begin()) - 1;
+    ASSERT_EQ(r.body[r.line_start[index]], 'a');
+    ASSERT_LT(pad_line.size() + r.line_start[index], offset); // mid-line
+    std::string text = pad_line + r.body;
+    text.insert(pad_line.size() + r.line_start[index] + 1, " 9");
+    // Line 1 is the pad comment; body line i is line i + 2.
+    EXPECT_NE(dimacs_error(text).find("at line " + std::to_string(index + 2)),
+              std::string::npos)
+        << dimacs_error(text);
   }
 }
 

@@ -4,13 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/registry.hpp"
 #include "core/serve_engine.hpp"
+#include "core/workload.hpp"
 
 namespace core = aflow::core;
+namespace graph = aflow::graph;
 
 namespace {
 
@@ -22,6 +27,14 @@ long long json_ll(const std::string& json, const std::string& key) {
   EXPECT_NE(at, std::string::npos) << "missing key " << key << " in " << json;
   if (at == std::string::npos) return -1;
   return std::strtoll(json.c_str() + at + needle.size(), nullptr, 10);
+}
+
+double json_double(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t at = json.find(needle);
+  EXPECT_NE(at, std::string::npos) << "missing key " << key << " in " << json;
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(json.c_str() + at + needle.size(), nullptr);
 }
 
 bool json_bool(const std::string& json, const std::string& key) {
@@ -408,6 +421,81 @@ TEST(ServeEngine, NonFiniteCapacitiesAreRefusedAndTheSessionKeepsServing) {
   EXPECT_EQ(json_ll(engine.handle("session"), "revision"), rev1);
   const std::string solve = engine.handle("solve --solver dinic --scratch");
   EXPECT_TRUE(json_bool(solve, "ok")) << solve;
+}
+
+TEST(ServeEngine, MalformedDimacsLoadsAreWrongRequests) {
+  // A DIMACS file that does not parse is a wrong request input, like a bad
+  // flag: invalid_argument, not retryable, with the reader's message. The
+  // truncated file used to answer "internal". The instance loaded before
+  // keeps serving.
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  ASSERT_TRUE(json_bool(engine.handle("load --spec grid:side=4,seed=1"), "ok"));
+  const std::string solve0 = engine.handle("solve --solver dinic");
+  ASSERT_TRUE(json_bool(solve0, "ok")) << solve0;
+
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "aflow_test_serve_malformed.dimacs")
+                               .string();
+  const std::pair<std::string, std::string> files[] = {
+      {"p max 3 2\nn 1 s\nn 3 t\na 1 2 7\n",
+       "declares 2 arcs but the file contains 1"},
+      {"p max 3 2\nn 1 s\nn 3 t\na 1 2 5 7\na 2 3 4\n",
+       "trailing characters after the last field at line 4"},
+  };
+  for (const auto& [text, message] : files) {
+    std::ofstream(path) << text;
+    const std::string resp = engine.handle("load --input " + path);
+    EXPECT_FALSE(json_bool(resp, "ok")) << resp;
+    EXPECT_EQ(json_string(resp, "code"), "invalid_argument") << resp;
+    EXPECT_FALSE(json_bool(resp, "retryable")) << resp;
+    EXPECT_NE(resp.find(message), std::string::npos) << resp;
+    const std::string solve = engine.handle("solve --solver dinic");
+    EXPECT_EQ(json_ll(solve, "flow"), json_ll(solve0, "flow")) << solve;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(ServeEngine, ReconfigureSeedReprogramsTheCapacitiesAsLoaded) {
+  // `reconfigure --seed K` answers as capacity_variants(as loaded, 2, K)[1]
+  // whatever edits came before it, and a second --seed K after more edits
+  // answers the same.
+  const std::string spec = "grid:side=6,seed=1";
+  const graph::FlowNetwork loaded = core::load_batch(spec).front();
+  const graph::FlowNetwork variant = core::capacity_variants(loaded, 2, 5)[1];
+  const double flow = core::solve("dinic", variant).flow_value;
+
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  ASSERT_TRUE(json_bool(engine.handle("load --spec " + spec), "ok"));
+  graph::FlowNetwork edited = loaded;
+  for (const std::vector<std::pair<int, double>>& edits :
+       {std::vector<std::pair<int, double>>{{0, 3.0}, {5, 9.5}},
+        std::vector<std::pair<int, double>>{{3, 2.0}, {4, 100.0}, {0, 1.0}}}) {
+    std::string list;
+    for (const auto& [edge, capacity] : edits) {
+      list += (list.empty() ? "" : ",") + std::to_string(edge) + ":" +
+              std::to_string(capacity);
+      edited.set_capacity(edge, capacity);
+    }
+    const std::string edit = engine.handle("reconfigure --edits " + list);
+    ASSERT_TRUE(json_bool(edit, "ok")) << edit;
+    ASSERT_TRUE(json_bool(engine.handle("solve --solver dinic"), "ok"));
+
+    const std::string seeded = engine.handle("reconfigure --seed 5");
+    ASSERT_TRUE(json_bool(seeded, "ok")) << seeded;
+    EXPECT_EQ(json_double(seeded, "max_capacity"), variant.max_capacity())
+        << seeded;
+    long long differing = 0;
+    for (int e = 0; e < variant.num_edges(); ++e)
+      differing += edited.edge(e).capacity != variant.edge(e).capacity;
+    EXPECT_EQ(json_ll(seeded, "edits_applied"), differing) << seeded;
+    const std::string solve = engine.handle("solve --solver dinic --scratch");
+    EXPECT_EQ(json_double(solve, "flow"), flow) << solve;
+    edited = variant;
+  }
 }
 
 TEST(ServeEngine, OversizedOrUnsatisfiableSpecsAreRefused) {
