@@ -267,7 +267,7 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
   cut_out = std::vector<double>();
   cut_in = std::vector<double>();
 
-  flow::detail::Residual r(g, flow);
+  flow::detail::Residual r(g, flow, cancel);
   flow = std::vector<double>();
   rep.stitched_value =
       flow::detail::repair_conservation(r, s, t, rep.repair_operations, cancel)
@@ -279,7 +279,7 @@ flow::MaxFlowResult ShardedSolver::solve_csr(const graph::FlowNetwork& g,
     // own region), leaving a worse-than-empty carry. Drop it entirely —
     // exactness is untouched, refinement just starts from zero flow (a
     // direct solve).
-    r = flow::detail::Residual(g);
+    r = flow::detail::Residual(g, cancel);
     rep.stitched_value = 0.0;
   }
   rep.stitch_seconds = seconds_since(stitch_t0);

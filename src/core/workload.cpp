@@ -194,7 +194,7 @@ bool has_dimacs_extension(const fs::path& p) {
 
 std::vector<graph::FlowNetwork> load_dimacs_dir(const std::string& dir) {
   if (!fs::is_directory(dir))
-    throw std::runtime_error("not a directory: " + dir);
+    throw std::invalid_argument("not a directory: " + dir);
 
   std::vector<fs::path> paths;
   for (const auto& entry : fs::directory_iterator(dir))
@@ -203,7 +203,7 @@ std::vector<graph::FlowNetwork> load_dimacs_dir(const std::string& dir) {
   std::sort(paths.begin(), paths.end());
 
   if (paths.empty())
-    throw std::runtime_error("no *.dimacs / *.max instances in " + dir);
+    throw std::invalid_argument("no *.dimacs / *.max instances in " + dir);
 
   std::vector<graph::FlowNetwork> out;
   out.reserve(paths.size());

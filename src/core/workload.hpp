@@ -29,8 +29,8 @@
 namespace aflow::core {
 
 /// Reads every DIMACS instance (*.dimacs, *.max) in `dir`, sorted by
-/// filename. Throws std::runtime_error when the directory does not exist or
-/// contains no instances.
+/// filename. Throws std::invalid_argument when the directory does not exist
+/// or contains no instances.
 std::vector<graph::FlowNetwork> load_dimacs_dir(const std::string& dir);
 
 /// Expands a workload spec (grammar above): each ';'-separated source is a

@@ -134,6 +134,7 @@ bool DeltaState::apply_edits(const graph::FlowNetwork& net,
                              const CapacityDelta& delta, long long& ops,
                              const util::CancelToken& cancel, bool& maximal) {
   detail::Residual& r = *residual_;
+  const graph::ArcLayout& g = *r.layout;
   std::vector<double> im; // allocated at the first clamp
   std::vector<int> pending;
   bool raised = false;
@@ -141,19 +142,24 @@ bool DeltaState::apply_edits(const graph::FlowNetwork& net,
     if (e.edge < 0 || e.edge >= net.num_edges())
       throw std::invalid_argument("DeltaState: edge index " +
                                   std::to_string(e.edge) + " out of range");
-    const graph::Edge& edge = net.edge(e.edge);
-    const size_t fwd = 2 * static_cast<size_t>(e.edge);
-    const double flow = r.cap[fwd + 1];
-    const double kept = std::min(flow, edge.capacity);
-    raised = raised || edge.capacity > r.cap[fwd] + flow;
-    r.cap[fwd] = edge.capacity - kept;
-    r.cap[fwd + 1] = kept;
+    const double capacity = net.edge(e.edge).capacity;
+    const int fwd = g.forward[static_cast<size_t>(e.edge)];
+    const int rev = g.sister[fwd];
+    const double flow = r.cap[rev];
+    const double kept = std::min(flow, capacity);
+    raised = raised || capacity > r.cap[fwd] + flow;
+    r.cap[fwd] = capacity - kept;
+    r.cap[rev] = kept;
     if (kept < flow) {
+      // Layout positions: the reverse arc points at the tail, the forward
+      // arc at the head.
+      const int tail = g.head[rev];
+      const int head = g.head[fwd];
       if (im.empty()) im.assign(static_cast<size_t>(r.n), 0.0);
-      im[static_cast<size_t>(edge.from)] += flow - kept; // tail keeps it
-      im[static_cast<size_t>(edge.to)] -= flow - kept;   // head misses it
-      pending.push_back(edge.from);
-      pending.push_back(edge.to);
+      im[static_cast<size_t>(tail)] += flow - kept; // tail keeps it
+      im[static_cast<size_t>(head)] -= flow - kept; // head misses it
+      pending.push_back(tail);
+      pending.push_back(head);
     }
   }
   // Without a clamp the kept flow is still a feasible flow: no repair, and
@@ -177,21 +183,23 @@ MaxFlowResult DeltaState::resolve(const graph::FlowNetwork& net,
   bool maximal = false;
   try {
     cancel.check();
-    if (residual_ && (residual_->n != net.num_vertices() ||
-                      residual_->cap.size() !=
-                          2 * static_cast<size_t>(net.num_edges())))
+    // The kept residual answers only for its own topology: a network that
+    // does not share its layout (not a copy of the state's network, nor
+    // transformed from one) is a new topology, whatever its shape.
+    if (residual_ && residual_->layout != net.arc_layout(cancel))
       residual_.reset();
     if (residual_) {
       carried = apply_edits(net, delta, result.operations, cancel, maximal);
     } else if (delta_prior_usable(net, prior)) {
-      residual_ = std::make_unique<detail::Residual>(net, prior.edge_flow);
+      residual_ =
+          std::make_unique<detail::Residual>(net, prior.edge_flow, cancel);
       // The full-scan repair drains the carry's imbalances; a false return
       // means a numerically degenerate prior.
       carried = detail::repair_conservation(*residual_, s, t,
                                             result.operations, cancel);
     }
     if (!carried) {
-      residual_ = std::make_unique<detail::Residual>(net);
+      residual_ = std::make_unique<detail::Residual>(net, cancel);
       result.operations = 0;
     }
     // Either backend's own pass then augments the repaired flow.

@@ -127,7 +127,8 @@ class DeltaState;
 /// of rebuilding one. The edge-flow re-solves above are these on a fresh
 /// state, followed by DeltaState::edge_flows.
 ///
-/// - Empty state (or one whose shape does not match `net`): carry from
+/// - Empty state (or one kept for another topology: `net` does not share
+///   the state's arc layout, FlowNetwork::arc_layout): carry from
 ///   `prior.edge_flow` into the state and repair with the full scan; an
 ///   unusable prior, or a repair that cannot progress, solves from zero
 ///   into the state, counted in metrics.delta_fallbacks.
@@ -158,8 +159,10 @@ MaxFlowResult push_relabel_resolve(const graph::FlowNetwork& net,
 /// The residual that a reconfiguration stream keeps between stateful
 /// re-solves: the maximum flow of the network the last re-solve solved.
 /// Move-only, and empty until the first re-solve fills it. A state belongs
-/// to one topology and one backend's stream of edits; clear it when either
-/// changes.
+/// to one topology and one backend's stream of edits. It knows its
+/// topology by its arc layout, which copies of its network share (and
+/// capacity edits keep), so a re-solve of any other network starts afresh;
+/// clear it when the backend changes.
 class DeltaState {
  public:
   DeltaState();

@@ -22,15 +22,15 @@ class DinicSolver {
  public:
   DinicSolver(detail::Residual& r, int s, int t,
               const util::CancelToken& cancel)
-      : r_(r), s_(s), t_(t), cancel_(cancel), level_(r.n), it_(r.n),
-        queue_(r.n) {}
+      : r_(r), g_(*r.layout), s_(r.vertex(s)), t_(r.vertex(t)),
+        cancel_(cancel), level_(r.n), it_(r.n), queue_(r.n) {}
 
   double augment(long long& ops) {
     double added = 0.0;
     // One cancellation check per BFS phase: at most n phases, each a full
     // blocking flow, so the check granularity matches the unit of real work.
     while (cancel_.check(), bfs_levels()) {
-      std::fill(it_.begin(), it_.end(), 0);
+      std::copy(g_.start.begin(), g_.start.end() - 1, it_.begin());
       for (;;) {
         const double pushed = augment_path();
         if (pushed <= 0.0) break;
@@ -52,9 +52,9 @@ class DinicSolver {
     for (int head = 0, tail = 1; head < tail; ++head) {
       const int v = queue_[head];
       if (level_[v] == level_[s_]) break; // popped levels are >= 0
-      for (int arc : r_.arcs(v)) {
-        const int u = r_.head[arc];
-        if (level_[u] == -1 && r_.cap[r_.rev(arc)] > 0.0) {
+      for (int arc = g_.start[v]; arc < g_.start[v + 1]; ++arc) {
+        const int u = g_.head[arc];
+        if (level_[u] == -1 && r_.cap[g_.sister[arc]] > 0.0) {
           level_[u] = level_[v] + 1;
           queue_[tail++] = u;
         }
@@ -74,20 +74,19 @@ class DinicSolver {
     path_.clear();
     int v = s_;
     while (v != t_) {
-      const std::span<const int> arcs = r_.arcs(v);
-      int& i = it_[v];
-      while (i < static_cast<int>(arcs.size()) &&
-             (r_.cap[arcs[i]] <= 0.0 ||
-              level_[r_.head[arcs[i]]] != level_[v] - 1))
+      const int end = g_.start[v + 1];
+      int& i = it_[v]; // an arc position in [start[v], end]
+      while (i < end &&
+             (r_.cap[i] <= 0.0 || level_[g_.head[i]] != level_[v] - 1))
         ++i;
-      if (i < static_cast<int>(arcs.size())) {
-        path_.push_back(arcs[i]);
-        v = r_.head[arcs[i]];
+      if (i < end) {
+        path_.push_back(i);
+        v = g_.head[i];
         continue;
       }
       level_[v] = -1;
       if (path_.empty()) return 0.0;
-      v = r_.head[r_.rev(path_.back())]; // retreat to the arc's tail
+      v = g_.head[g_.sister[path_.back()]]; // retreat to the arc's tail
       path_.pop_back();
       ++it_[v];
     }
@@ -95,16 +94,17 @@ class DinicSolver {
     for (int arc : path_) pushed = std::min(pushed, r_.cap[arc]);
     for (int arc : path_) {
       r_.cap[arc] -= pushed;
-      r_.cap[r_.rev(arc)] += pushed;
+      r_.cap[g_.sister[arc]] += pushed;
     }
     return pushed;
   }
 
   detail::Residual& r_;
+  const graph::ArcLayout& g_;
   int s_, t_;
   util::CancelToken cancel_;
   std::vector<int> level_;
-  std::vector<int> it_;
+  std::vector<int> it_; // current arc per vertex
   std::vector<int> queue_; // the BFS queue: every vertex enters it once
   std::vector<int> path_;  // arcs of the current descent, s first
 };
@@ -122,7 +122,7 @@ double dinic_augment(Residual& r, int s, int t, long long& ops,
 
 MaxFlowResult dinic(const graph::FlowNetwork& net,
                     const util::CancelToken& cancel) {
-  detail::Residual r(net);
+  detail::Residual r(net, cancel);
   MaxFlowResult result;
   result.flow_value = detail::dinic_augment(r, net.source(), net.sink(),
                                             result.operations, cancel);

@@ -9,9 +9,10 @@ namespace aflow::flow {
 
 MaxFlowResult edmonds_karp(const graph::FlowNetwork& net,
                            const util::CancelToken& cancel) {
-  detail::Residual r(net);
-  const int s = net.source();
-  const int t = net.sink();
+  detail::Residual r(net, cancel);
+  const graph::ArcLayout& g = *r.layout;
+  const int s = r.vertex(net.source());
+  const int t = r.vertex(net.sink());
   MaxFlowResult result;
 
   std::vector<int> pred_arc(r.n);
@@ -24,8 +25,8 @@ MaxFlowResult edmonds_karp(const graph::FlowNetwork& net,
     while (!q.empty() && pred_arc[t] == -1) {
       const int v = q.front();
       q.pop();
-      for (int arc : r.arcs(v)) {
-        const int u = r.head[arc];
+      for (int arc = g.start[v]; arc < g.start[v + 1]; ++arc) {
+        const int u = g.head[arc];
         if (pred_arc[u] == -1 && r.cap[arc] > 0.0) {
           pred_arc[u] = arc;
           q.push(u);
@@ -38,13 +39,13 @@ MaxFlowResult edmonds_karp(const graph::FlowNetwork& net,
     for (int v = t; v != s;) {
       const int arc = pred_arc[v];
       bottleneck = std::min(bottleneck, r.cap[arc]);
-      v = r.head[r.rev(arc)];
+      v = g.head[g.sister[arc]];
     }
     for (int v = t; v != s;) {
       const int arc = pred_arc[v];
       r.cap[arc] -= bottleneck;
-      r.cap[r.rev(arc)] += bottleneck;
-      v = r.head[r.rev(arc)];
+      r.cap[g.sister[arc]] += bottleneck;
+      v = g.head[g.sister[arc]];
     }
     result.flow_value += bottleneck;
     result.operations++;

@@ -31,12 +31,13 @@ class PushRelabelSolver {
  public:
   PushRelabelSolver(detail::Residual& r, int s, int t,
                     const util::CancelToken& cancel, SolveMetrics* metrics)
-      : r_(r), s_(s), t_(t), cancel_(cancel), metrics_(metrics), n_(r.n),
+      : r_(r), g_(*r.layout), s_(r.vertex(s)), t_(r.vertex(t)),
+        cancel_(cancel), metrics_(metrics), n_(r.n),
         refresh_threshold_(static_cast<long long>(r.cap.size()) / 8),
         excess_eps_(1e-11 * r.capacity_scale()), height_(n_, 0),
-        excess_(n_, 0.0), current_arc_(n_, 0),
+        excess_(n_, 0.0), current_arc_(g_.start.begin(), g_.start.end() - 1),
         height_count_(2 * static_cast<size_t>(n_) + 1, 0), dist_(n_),
-        bfs_(n_), mark_(n_, 0), mark_pos_(n_, -1), cur_(n_, 0) {}
+        bfs_(n_), mark_(n_, 0), mark_pos_(n_, -1), cur_(g_.in_begin) {}
 
   /// The pass, from the feasible flow currently in `r_`: exact global
   /// relabel, flood of the source arcs, FIFO discharge that parks at n,
@@ -49,8 +50,8 @@ class PushRelabelSolver {
     // residual path to the sink). Heights never decrease and stay a
     // valid labeling, so such a vertex can never reach the sink later
     // either: flow pushed there could only round-trip back to s.
-    for (int arc : r_.arcs(s_)) {
-      if (r_.cap[arc] <= 0.0 || height_[r_.head[arc]] >= n_) continue;
+    for (int arc = g_.start[s_]; arc < g_.start[s_ + 1]; ++arc) {
+      if (r_.cap[arc] <= 0.0 || height_[g_.head[arc]] >= n_) continue;
       inject(arc);
       if (metrics_) metrics_->injected_excess_arcs++;
     }
@@ -94,8 +95,8 @@ class PushRelabelSolver {
   }
 
   /// Phase 2: every parked excess travels back to the source by retracing
-  /// flow-carrying in-arcs (odd arc ids: cap[2e+1] is exactly the flow on
-  /// input edge e). Flow decomposition of the preflow guarantees each
+  /// flow-carrying in-arcs (an in-arc's capacity is exactly the flow on its
+  /// edge). Flow decomposition of the preflow guarantees each
   /// excess unit lies on an s -> v flow path, so the backward walk reaches
   /// s — after cancelling any flow cycles it wanders into, each of which
   /// zeroes at least one arc, so the whole phase terminates. Walking flow
@@ -124,14 +125,12 @@ class PushRelabelSolver {
         bool routed = false;
         while (!routed) {
           const int x = walk_v.back();
-          const std::span<const int> arcs = r_.arcs(x);
-          int& c = cur_[x];
-          while (c < static_cast<int>(arcs.size()) &&
-                 (!(arcs[c] & 1) || r_.cap[arcs[c]] <= eps))
-            c++;
-          if (c == static_cast<int>(arcs.size())) return false;
-          const int arc = arcs[c];
-          const int u = r_.head[arc];
+          const int end = g_.start[x + 1];
+          int& c = cur_[x]; // an in-arc position in [in_begin[x], end]
+          while (c < end && r_.cap[c] <= eps) c++;
+          if (c == end) return false;
+          const int arc = c;
+          const int u = g_.head[arc];
           if (u == s_) {
             // s -> ... -> v0 flow path found: unwind the excess along it.
             double amount = excess_[v0];
@@ -139,10 +138,10 @@ class PushRelabelSolver {
             amount = std::min(amount, r_.cap[arc]);
             for (int a : walk_arc) {
               r_.cap[a] -= amount;
-              r_.cap[r_.rev(a)] += amount;
+              r_.cap[g_.sister[a]] += amount;
             }
             r_.cap[arc] -= amount;
-            r_.cap[r_.rev(arc)] += amount;
+            r_.cap[g_.sister[arc]] += amount;
             excess_[v0] -= amount;
             pushes_++;
             if (metrics_) metrics_->returned_excess_walks++;
@@ -156,10 +155,10 @@ class PushRelabelSolver {
               amount = std::min(amount, r_.cap[walk_arc[i]]);
             for (size_t i = p; i < walk_arc.size(); ++i) {
               r_.cap[walk_arc[i]] -= amount;
-              r_.cap[r_.rev(walk_arc[i])] += amount;
+              r_.cap[g_.sister[walk_arc[i]]] += amount;
             }
             r_.cap[arc] -= amount;
-            r_.cap[r_.rev(arc)] += amount;
+            r_.cap[g_.sister[arc]] += amount;
             for (size_t i = p + 1; i < walk_v.size(); ++i) mark_[walk_v[i]] = 0;
             walk_v.resize(p + 1);
             walk_arc.resize(p);
@@ -193,10 +192,10 @@ class PushRelabelSolver {
     bfs_[tail++] = t_;
     while (head < tail) {
       const int v = bfs_[head++];
-      for (int arc : r_.arcs(v)) {
+      for (int arc = g_.start[v]; arc < g_.start[v + 1]; ++arc) {
         // Arc (v -> u) in adj; we need residual capacity on (u -> v).
-        const int u = r_.head[arc];
-        if (dist_[u] == n_ && u != s_ && r_.cap[r_.rev(arc)] > 0.0) {
+        const int u = g_.head[arc];
+        if (dist_[u] == n_ && u != s_ && r_.cap[g_.sister[arc]] > 0.0) {
           dist_[u] = dist_[v] + 1;
           bfs_[tail++] = u;
         }
@@ -208,16 +207,16 @@ class PushRelabelSolver {
       if (height_[v] <= 2 * n_) height_count_[height_[v]]++;
     }
     // Raised heights can re-admit arcs an advanced cursor already skipped.
-    std::fill(current_arc_.begin(), current_arc_.end(), 0);
+    std::copy(g_.start.begin(), g_.start.end() - 1, current_arc_.begin());
     relabel_work_ = 0;
   }
 
   /// Saturates source arc `arc`: the flood's injection primitive.
   void inject(int arc) {
-    const int u = r_.head[arc];
+    const int u = g_.head[arc];
     const double amount = r_.cap[arc];
     r_.cap[arc] = 0.0;
-    r_.cap[r_.rev(arc)] += amount;
+    r_.cap[g_.sister[arc]] += amount;
     const bool was_inactive = excess_[u] == 0.0;
     excess_[u] += amount;
     if (was_inactive && u != s_ && u != t_) active_.push(u);
@@ -227,9 +226,9 @@ class PushRelabelSolver {
   void push(int v, int arc) {
     const double delta = std::min(excess_[v], r_.cap[arc]);
     if (delta <= 0.0) return;
-    const int u = r_.head[arc];
+    const int u = g_.head[arc];
     r_.cap[arc] -= delta;
-    r_.cap[r_.rev(arc)] += delta;
+    r_.cap[g_.sister[arc]] += delta;
     excess_[v] -= delta;
     const bool was_inactive = excess_[u] == 0.0;
     excess_[u] += delta;
@@ -240,11 +239,11 @@ class PushRelabelSolver {
   void relabel(int v) {
     const int old_height = height_[v];
     int min_height = 2 * n_;
-    for (int arc : r_.arcs(v))
-      if (r_.cap[arc] > 0.0) min_height = std::min(min_height, height_[r_.head[arc]]);
+    for (int arc = g_.start[v]; arc < g_.start[v + 1]; ++arc)
+      if (r_.cap[arc] > 0.0) min_height = std::min(min_height, height_[g_.head[arc]]);
     height_[v] = min_height + 1;
     relabels_++;
-    relabel_work_ += static_cast<long long>(r_.arcs(v).size()) + 1;
+    relabel_work_ += g_.start[v + 1] - g_.start[v] + 1;
 
     height_count_[old_height]--;
     if (height_[v] <= 2 * n_) height_count_[height_[v]]++;
@@ -269,9 +268,9 @@ class PushRelabelSolver {
       // cheaper than relabeling it toward 2n would. (The legacy fallback
       // clears parking_only_ — its whole mechanism is that climb.)
       if (parking_only_ && height_[v] >= n_) break;
-      if (current_arc_[v] == static_cast<int>(r_.arcs(v).size())) {
+      if (current_arc_[v] == g_.start[v + 1]) {
         relabel(v);
-        current_arc_[v] = 0;
+        current_arc_[v] = g_.start[v];
         if (parking_only_ && relabel_work_ > refresh_threshold_)
           refresh_heights();
         // Defensive bound only: heights are capped at 2n+1 by relabel's
@@ -279,8 +278,8 @@ class PushRelabelSolver {
         if (height_[v] > 2 * n_) break;
         continue;
       }
-      const int arc = r_.arcs(v)[current_arc_[v]];
-      const int u = r_.head[arc];
+      const int arc = current_arc_[v];
+      const int u = g_.head[arc];
       if (r_.cap[arc] > 0.0 && height_[v] == height_[u] + 1)
         push(v, arc);
       else
@@ -289,7 +288,8 @@ class PushRelabelSolver {
   }
 
   detail::Residual& r_;
-  int s_, t_;
+  const graph::ArcLayout& g_;
+  int s_, t_; // layout positions
   util::CancelToken cancel_;
   SolveMetrics* metrics_;
   int n_;
@@ -310,11 +310,11 @@ class PushRelabelSolver {
   long long pops_ = 0;
   std::vector<int> height_;
   std::vector<double> excess_;
-  std::vector<int> current_arc_;
+  std::vector<int> current_arc_; // arc positions
   std::vector<int> height_count_;
   std::vector<int> dist_, bfs_; // refresh_heights: distances, BFS queue
   // Phase-2 walk state: per-vertex visit stamp, position on the current
-  // walk, and in-arc cursor.
+  // walk, and in-arc cursor (an arc position).
   std::vector<int> mark_, mark_pos_, cur_;
   std::queue<int> active_;
   long long pushes_ = 0;
@@ -335,7 +335,7 @@ long long push_relabel_augment(Residual& r, int s, int t,
 
 MaxFlowResult push_relabel(const graph::FlowNetwork& net,
                            const util::CancelToken& cancel) {
-  detail::Residual r(net);
+  detail::Residual r(net, cancel);
   MaxFlowResult result;
   result.operations = detail::push_relabel_augment(
       r, net.source(), net.sink(), cancel, &result.metrics);

@@ -6,22 +6,30 @@
 
 namespace aflow::flow::detail {
 
-Residual::Residual(const graph::FlowNetwork& net) : Residual(net, {}) {}
+namespace {
+
+/// Edges filled between two cancellation checks of the capacity fill.
+constexpr size_t kFillStride = size_t{1} << 14;
+
+} // namespace
 
 Residual::Residual(const graph::FlowNetwork& net,
-                   std::span<const double> prior_flow)
-    : incidence(graph::incidence(net)), n(net.num_vertices()) {
-  const int m = net.num_edges();
-  cap.resize(2 * static_cast<size_t>(m));
-  head.resize(2 * static_cast<size_t>(m));
-  for (int e = 0; e < m; ++e) {
-    const auto& edge = net.edge(e);
+                   const util::CancelToken& cancel)
+    : Residual(net, {}, cancel) {}
+
+Residual::Residual(const graph::FlowNetwork& net,
+                   std::span<const double> prior_flow,
+                   const util::CancelToken& cancel)
+    : layout(net.arc_layout(cancel)), n(net.num_vertices()) {
+  const std::span<const graph::Edge> edges = net.edges();
+  cap.assign(2 * edges.size(), 0.0); // a reverse arc is written only for flow
+  for (size_t e = 0; e < edges.size(); ++e) {
+    if (e % kFillStride == 0) cancel.check();
     const double f =
-        prior_flow.empty() ? 0.0 : std::clamp(prior_flow[e], 0.0, edge.capacity);
-    cap[2 * static_cast<size_t>(e)] = edge.capacity - f;
-    cap[2 * static_cast<size_t>(e) + 1] = f;
-    head[2 * static_cast<size_t>(e)] = edge.to;
-    head[2 * static_cast<size_t>(e) + 1] = edge.from;
+        prior_flow.empty() ? 0.0 : std::clamp(prior_flow[e], 0.0, edges[e].capacity);
+    const int a = layout->forward[e];
+    cap[static_cast<size_t>(a)] = edges[e].capacity - f;
+    if (f > 0.0) cap[static_cast<size_t>(layout->sister[static_cast<size_t>(a)])] = f;
   }
 }
 
@@ -37,31 +45,32 @@ double Residual::capacity_scale() const {
   return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
 }
 
-double Residual::flow_value_at(const graph::FlowNetwork& net, int s) const {
-  // Even arcs of s are its out-edges, odd arcs its in-edges.
+// `net` is the residual's own network; the layout already holds what the
+// read needs.
+double Residual::flow_value_at(const graph::FlowNetwork&, int s) const {
+  const graph::ArcLayout& g = *layout;
+  const int p = vertex(s);
   double value = 0.0;
-  for (int a : arcs(s))
-    if (!(a & 1)) value += net.edge(a >> 1).capacity - cap[a];
-  for (int a : arcs(s))
-    if (a & 1) value -= net.edge(a >> 1).capacity - cap[a - 1];
+  for (int a = g.start[p]; a < g.in_begin[p]; ++a) value += cap[g.sister[a]];
+  for (int a = g.in_begin[p]; a < g.start[p + 1]; ++a) value -= cap[a];
   return value;
 }
 
 std::vector<double> Residual::edge_flows(const graph::FlowNetwork& net) const {
   std::vector<double> flows(net.num_edges());
   for (int e = 0; e < net.num_edges(); ++e)
-    flows[e] = net.edge(e).capacity - cap[2 * static_cast<size_t>(e)];
+    flows[e] = net.edge(e).capacity - cap[layout->forward[e]];
   return flows;
 }
 
 std::vector<double> Residual::imbalances() const {
+  const graph::ArcLayout& g = *layout;
   std::vector<double> im(static_cast<size_t>(n), 0.0);
-  const size_t m = cap.size() / 2;
-  for (size_t e = 0; e < m; ++e) {
-    const double f = cap[2 * e + 1];
-    im[static_cast<size_t>(head[2 * e])] += f;     // edge head gains inflow
-    im[static_cast<size_t>(head[2 * e + 1])] -= f; // edge tail pays outflow
-  }
+  for (int v = 0; v < n; ++v)
+    for (int a = g.in_begin[v]; a < g.start[v + 1]; ++a) {
+      im[static_cast<size_t>(v)] += cap[a];         // edge head gains inflow
+      im[static_cast<size_t>(g.head[a])] -= cap[a]; // edge tail pays outflow
+    }
   return im;
 }
 
@@ -79,14 +88,15 @@ constexpr double kImbalanceEps = 1e-9;
 /// Shortest-path repair pusher over a carried residual. Both directions
 /// terminate by flow decomposition of the carried pseudo-flow: a surplus
 /// node's extra inflow is reversible back to the source, a deficit node's
-/// extra outflow is reversible back from the sink.
+/// extra outflow is reversible back from the sink. Vertices are layout
+/// positions throughout.
 class ConservationRepair {
  public:
   ConservationRepair(Residual& r, int s, int t, std::vector<double> im,
                      std::vector<int> pending)
-      : r_(r), s_(s), t_(t), eps_(kImbalanceEps * r.capacity_scale()),
-        im_(std::move(im)), pending_(std::move(pending)),
-        parent_arc_(r.n, -1), seen_(r.n, 0) {}
+      : r_(r), g_(*r.layout), s_(s), t_(t),
+        eps_(kImbalanceEps * r.capacity_scale()), im_(std::move(im)),
+        pending_(std::move(pending)), parent_arc_(r.n, -1), seen_(r.n, 0) {}
 
   /// All excesses drain before any deficit fills: once no excess nodes
   /// remain, decomposing the carried pseudo-flow shows every deficit node's
@@ -119,8 +129,11 @@ class ConservationRepair {
 
   void push_arc(int arc, double amount) {
     r_.cap[static_cast<size_t>(arc)] -= amount;
-    r_.cap[static_cast<size_t>(r_.rev(arc))] += amount;
+    r_.cap[static_cast<size_t>(g_.sister[arc])] += amount;
   }
+
+  /// The vertex that `arc` leaves.
+  int tail(int arc) const { return g_.head[g_.sister[arc]]; }
 
   /// BFS forward from `v` to the nearest of {s, t, any deficit vertex};
   /// pushes the bottleneck (capped by both imbalances) along the path.
@@ -133,11 +146,11 @@ class ConservationRepair {
     while (!q.empty() && target < 0) {
       const int x = q.front();
       q.pop();
-      for (int arc : r_.arcs(x)) {
+      for (int arc = g_.start[x]; arc < g_.start[x + 1]; ++arc) {
         // Dust-capacity arcs (rounding residue of earlier pushes) are
         // saturated for repair purposes: routing through one would cap the
         // push at float noise and stall the repair.
-        const int u = r_.head[arc];
+        const int u = g_.head[arc];
         if (seen_[u] == stamp_ || r_.cap[arc] <= eps_) continue;
         seen_[u] = stamp_;
         parent_arc_[u] = arc;
@@ -152,11 +165,11 @@ class ConservationRepair {
 
     double amount = im_[v];
     if (is_deficit(target)) amount = std::min(amount, -im_[target]);
-    for (int x = target; x != v; x = r_.head[r_.rev(parent_arc_[x])])
+    for (int x = target; x != v; x = tail(parent_arc_[x]))
       amount = std::min(amount, r_.cap[parent_arc_[x]]);
     if (amount <= eps_) return false;
 
-    for (int x = target; x != v; x = r_.head[r_.rev(parent_arc_[x])])
+    for (int x = target; x != v; x = tail(parent_arc_[x]))
       push_arc(parent_arc_[x], amount);
     im_[v] -= amount;
     if (target != s_ && target != t_) im_[target] += amount;
@@ -175,15 +188,15 @@ class ConservationRepair {
     while (!q.empty() && source_node < 0) {
       const int x = q.front();
       q.pop();
-      for (int arc : r_.arcs(x)) {
-        // Predecessor u = head[arc] supplies x through the arc's reverse
+      for (int arc = g_.start[x]; arc < g_.start[x + 1]; ++arc) {
+        // Predecessor u = head[arc] supplies x through the arc's sister
         // (u -> x), which must have residual capacity above the dust
         // threshold (see drain_excess).
-        const int u = r_.head[arc];
-        if (seen_[u] == stamp_ || r_.cap[r_.rev(arc)] <= eps_)
+        const int u = g_.head[arc];
+        if (seen_[u] == stamp_ || r_.cap[g_.sister[arc]] <= eps_)
           continue;
         seen_[u] = stamp_;
-        parent_arc_[u] = r_.rev(arc); // the u -> x residual arc
+        parent_arc_[u] = g_.sister[arc]; // the u -> x residual arc
         if (u == s_ || u == t_) {
           source_node = u;
           break;
@@ -194,17 +207,18 @@ class ConservationRepair {
     if (source_node < 0) return false;
 
     double amount = -im_[v];
-    for (int x = source_node; x != v; x = r_.head[parent_arc_[x]])
+    for (int x = source_node; x != v; x = g_.head[parent_arc_[x]])
       amount = std::min(amount, r_.cap[parent_arc_[x]]);
     if (amount <= eps_) return false;
 
-    for (int x = source_node; x != v; x = r_.head[parent_arc_[x]])
+    for (int x = source_node; x != v; x = g_.head[parent_arc_[x]])
       push_arc(parent_arc_[x], amount);
     im_[v] += amount;
     return true;
   }
 
   Residual& r_;
+  const graph::ArcLayout& g_;
   int s_, t_;
   double eps_;
   std::vector<double> im_;
@@ -229,7 +243,8 @@ bool repair_conservation(Residual& r, int s, int t, long long& ops,
 bool repair_conservation(Residual& r, int s, int t, std::vector<double> im,
                          std::vector<int> pending, long long& ops,
                          const util::CancelToken& cancel) {
-  return ConservationRepair(r, s, t, std::move(im), std::move(pending))
+  return ConservationRepair(r, r.vertex(s), r.vertex(t), std::move(im),
+                            std::move(pending))
       .run(ops, cancel);
 }
 

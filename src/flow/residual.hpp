@@ -1,8 +1,10 @@
 // Shared residual-graph representation for the augmenting-path and
-// push-relabel solvers: forward/backward arc pairs in a flat array, with
-// arc i^1 the reverse of arc i.
+// push-relabel solvers: the network's arc layout (graph::ArcLayout), which
+// every residual of one topology shares, plus a capacity per arc in layout
+// order.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -12,47 +14,51 @@
 
 namespace aflow::flow::detail {
 
+/// Vertices inside a residual are layout positions (graph::ArcLayout);
+/// every entry point below that names a vertex takes an input vertex id and
+/// maps it through vertex(), and every result is in input vertex and edge
+/// ids, so the internal order never leaks.
 struct Residual {
-  explicit Residual(const graph::FlowNetwork& net);
+  /// The zero flow of `net`. The network's first exact solve builds its
+  /// arc layout here, under `cancel`; so does the capacity fill, which
+  /// checks `cancel` at a fixed work stride.
+  explicit Residual(const graph::FlowNetwork& net,
+                    const util::CancelToken& cancel = {});
 
   /// Builds the residual of `net` carrying a prior per-edge flow (clamped
   /// into [0, capacity], so a flow that an edit made infeasible enters as a
   /// capacity-feasible pseudo-flow whose conservation violations the delta
   /// repair then drains). This is the carry-over seam of the incremental
   /// re-solve path (flow/delta.hpp).
-  Residual(const graph::FlowNetwork& net, std::span<const double> prior_flow);
+  Residual(const graph::FlowNetwork& net, std::span<const double> prior_flow,
+           const util::CancelToken& cancel = {});
 
-  /// Residual capacity per arc; arcs 2e / 2e+1 are the forward / reverse
-  /// pair of input edge e.
+  std::shared_ptr<const graph::ArcLayout> layout;
+  /// Residual capacity per arc. An edge's forward arc holds its capacity
+  /// minus its flow, its reverse arc the flow: augmentation preserves
+  /// cap[a] + cap[sister[a]] = capacity.
   std::vector<double> cap;
-  std::vector<int> head; // arc -> target vertex
-  // Incident arcs per vertex (graph::incidence): flat arrays with no
-  // per-vertex allocations, so building a residual is a few O(E) passes —
-  // that build is the fixed cost of every delta re-solve (flow/delta.hpp).
-  graph::Incidence incidence;
   int n = 0;
 
-  int rev(int arc) const { return arc ^ 1; }
-
-  /// Arcs leaving `v` (forward arcs of v's out-edges plus reverse arcs of
-  /// its in-edges).
-  std::span<const int> arcs(int v) const { return incidence.at(v); }
+  /// The layout position of input vertex `v`.
+  int vertex(int v) const { return layout->position[static_cast<size_t>(v)]; }
 
   /// Extracts per-input-edge flow (forward capacity consumed).
   std::vector<double> edge_flows(const graph::FlowNetwork& net) const;
 
-  /// Flow value currently carried: net flow out of `s`, summed over its
-  /// out-edges first and then its in-edges, each in edge order.
+  /// Flow value currently carried: net flow out of input vertex `s`, read
+  /// from the reverse arcs, its out-edges' first and then its in-edges',
+  /// each in edge order.
   double flow_value_at(const graph::FlowNetwork& net, int s) const;
 
   /// max(1, largest residual capacity): the scale that the repair's and
   /// the push-relabel pass's dust thresholds are relative to.
   double capacity_scale() const;
 
-  /// Conservation surplus (inflow - outflow) per vertex under the carried
-  /// flow, read from the residual alone: augmentation preserves
-  /// cap[2e] + cap[2e+1] = capacity(e), so edge e carries cap[2e+1].
-  /// Source/sink entries are reported but are not repair targets.
+  /// Conservation surplus (inflow - outflow) per layout position under the
+  /// carried flow, read from the residual alone: an edge carries its
+  /// reverse arc's capacity. Source/sink entries are reported but are not
+  /// repair targets.
   std::vector<double> imbalances() const;
 };
 
@@ -76,13 +82,13 @@ bool repair_conservation(Residual& r, int s, int t, long long& ops,
                          const util::CancelToken& cancel = {});
 
 /// The same repair from caller-named imbalances, for a caller that knows
-/// where they are: `im` holds every vertex's conservation surplus
-/// (inflow - outflow), `pending` the vertices whose surplus may exceed the
-/// dust threshold, repaired in that order. A push only moves surplus
-/// between vertices already named, so no other vertex needs a look. The
-/// entry above names every imbalanced vertex by a full scan; the stateful
-/// delta re-solve (flow/delta.hpp) names the endpoints of the edges whose
-/// flow an edit clamped.
+/// where they are: `im` holds every layout position's conservation surplus
+/// (inflow - outflow), `pending` the positions whose surplus may exceed the
+/// dust threshold, repaired in that order (s and t stay input ids). A push
+/// only moves surplus between vertices already named, so no other vertex
+/// needs a look. The entry above names every imbalanced vertex by a full
+/// scan; the stateful delta re-solve (flow/delta.hpp) names the endpoints
+/// of the edges whose flow an edit clamped.
 bool repair_conservation(Residual& r, int s, int t, std::vector<double> im,
                          std::vector<int> pending, long long& ops,
                          const util::CancelToken& cancel = {});

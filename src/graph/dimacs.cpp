@@ -22,6 +22,13 @@ namespace {
 /// straddles into the next block while it is joined.
 constexpr size_t kBlockBytes = size_t{1} << 20;
 
+/// The most arcs the problem line's count preallocates: the count is only
+/// a claim until the arcs are read, and a file that overstates it must read
+/// as the count mismatch it is, not fail the allocation. 2^22 arcs (64 MiB)
+/// covers every instance the benches build; a larger file grows the vector
+/// as it reads.
+constexpr std::int64_t kMaxReservedArcs = std::int64_t{1} << 22;
+
 constexpr const char* kMalformedArc = "malformed arc line (truncated mid-line?)";
 
 // Every line the parser sees ends in '\n', so the scanners below stop at
@@ -117,7 +124,7 @@ const char* Parser::line(const char* p) {
       if (m_ >= std::numeric_limits<int>::max())
         fail("arc count " + std::to_string(m_) +
              " exceeds the int edge index");
-      edges_.reserve(static_cast<size_t>(m_));
+      edges_.reserve(static_cast<size_t>(std::min(m_, kMaxReservedArcs)));
       return p;
     }
     case 'n': {

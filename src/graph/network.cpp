@@ -57,6 +57,12 @@ int FlowNetwork::add_edge(int from, int to, double capacity) {
   const int id = static_cast<int>(edges_.size());
   edges_.push_back(edge);
   max_capacity_ = std::max(max_capacity_, capacity);
+  // The topology changed: drop the layout here and leave the copies that
+  // share the cell theirs (one owner may clear the cell in place).
+  if (layout_.use_count() == 1)
+    layout_->layout.reset();
+  else
+    layout_ = std::make_shared<LayoutCell>();
   return id;
 }
 
@@ -79,6 +85,116 @@ void FlowNetwork::set_capacity(int e, double capacity) {
 
 void FlowNetwork::validate() const {
   if (num_vertices_ < 2) throw std::invalid_argument("FlowNetwork: too few vertices");
+}
+
+namespace {
+
+/// Builds the layout of `net`'s topology (FlowNetwork::arc_layout).
+ArcLayout build_arc_layout(const FlowNetwork& net,
+                           const util::CancelToken& cancel) {
+  const int n = net.num_vertices();
+  const size_t m = static_cast<size_t>(net.num_edges());
+  if (2 * m >= static_cast<size_t>(std::numeric_limits<int>::max()))
+    throw std::length_error(
+        "arc layout: 2m arcs exceed the int arc index; instances must stay "
+        "below 2^30 edges");
+  // Work between two cancellation checks: a clock read per 2^14 edges or
+  // vertices costs nothing next to the passes themselves.
+  constexpr size_t kStride = size_t{1} << 14;
+  const std::span<const Edge> edges = net.edges();
+
+  // Pass 1: degrees. adj[v + 1] counts v's edges of either direction.
+  std::vector<int> out_degree(static_cast<size_t>(n), 0);
+  std::vector<int> adj(static_cast<size_t>(n) + 1, 0);
+  for (size_t e = 0; e < m; ++e) {
+    if (e % kStride == 0) cancel.check();
+    ++out_degree[static_cast<size_t>(edges[e].from)];
+    ++adj[static_cast<size_t>(edges[e].from) + 1];
+    ++adj[static_cast<size_t>(edges[e].to) + 1];
+  }
+  for (int v = 0; v < n; ++v) adj[v + 1] += adj[v];
+
+  // Pass 2: the undirected neighbour lists the search walks, dropped
+  // before the arc arrays exist.
+  std::vector<int> order(static_cast<size_t>(n)); // position -> vertex
+  ArcLayout g;
+  g.position.assign(static_cast<size_t>(n), -1);
+  {
+    std::vector<int> neighbour(2 * m);
+    std::vector<int> cursor(adj.begin(), adj.end() - 1);
+    for (size_t e = 0; e < m; ++e) {
+      if (e % kStride == 0) cancel.check();
+      const Edge& x = edges[e];
+      neighbour[static_cast<size_t>(cursor[x.from]++)] = x.to;
+      neighbour[static_cast<size_t>(cursor[x.to]++)] = x.from;
+    }
+    // Pass 3: breadth-first from the sink, then the unreached vertices in
+    // input order.
+    int tail = 0;
+    const auto place = [&](int v) {
+      g.position[static_cast<size_t>(v)] = tail;
+      order[static_cast<size_t>(tail++)] = v;
+    };
+    place(net.sink());
+    for (int i = 0; i < tail; ++i) {
+      if (static_cast<size_t>(i) % kStride == 0) cancel.check();
+      const int v = order[static_cast<size_t>(i)];
+      for (int k = adj[v]; k < adj[v + 1]; ++k) {
+        const int u = neighbour[static_cast<size_t>(k)];
+        if (g.position[static_cast<size_t>(u)] < 0) place(u);
+      }
+    }
+    for (int v = 0; v < n && tail < n; ++v)
+      if (g.position[static_cast<size_t>(v)] < 0) place(v);
+  }
+
+  // Pass 4: offsets in layout order, then one scatter of the arcs. The
+  // degree arrays become the out- and in-arc cursors of each position.
+  g.start.resize(static_cast<size_t>(n) + 1);
+  g.in_begin.resize(static_cast<size_t>(n));
+  g.start[0] = 0;
+  for (int p = 0; p < n; ++p) {
+    const int v = order[static_cast<size_t>(p)];
+    g.start[p + 1] = g.start[p] + (adj[v + 1] - adj[v]);
+    g.in_begin[p] = g.start[p] + out_degree[v];
+  }
+  std::vector<int>& out_cursor = out_degree;
+  std::vector<int>& in_cursor = order;
+  std::copy(g.start.begin(), g.start.end() - 1, out_cursor.begin());
+  std::copy(g.in_begin.begin(), g.in_begin.end(), in_cursor.begin());
+  g.head.resize(2 * m);
+  g.sister.resize(2 * m);
+  g.forward.resize(m);
+  for (size_t e = 0; e < m; ++e) {
+    if (e % kStride == 0) cancel.check();
+    const int u = g.position[static_cast<size_t>(edges[e].from)];
+    const int v = g.position[static_cast<size_t>(edges[e].to)];
+    const int a = out_cursor[u]++;
+    const int b = in_cursor[v]++;
+    g.head[a] = v;
+    g.head[b] = u;
+    g.sister[a] = b;
+    g.sister[b] = a;
+    g.forward[e] = a;
+  }
+  return g;
+}
+
+} // namespace
+
+std::shared_ptr<const ArcLayout> FlowNetwork::arc_layout(
+    const util::CancelToken& cancel) const {
+  LayoutCell& cell = *layout_;
+  {
+    const std::lock_guard lock(cell.mutex);
+    if (cell.layout) return cell.layout;
+  }
+  // Built outside the lock, so a caller never waits on another's build
+  // and its own token stays live throughout.
+  auto built = std::make_shared<const ArcLayout>(build_arc_layout(*this, cancel));
+  const std::lock_guard lock(cell.mutex);
+  if (!cell.layout) cell.layout = std::move(built);
+  return cell.layout;
 }
 
 Incidence incidence(const FlowNetwork& net) {

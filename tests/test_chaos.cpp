@@ -23,6 +23,7 @@
 #include "core/sharded_solver.hpp"
 #include "core/workload.hpp"
 #include "flow/maxflow.hpp"
+#include "graph/generators.hpp"
 #include "graph/network.hpp"
 #include "util/cancel.hpp"
 #include "util/fault_injector.hpp"
@@ -250,6 +251,29 @@ TEST(Deadlines, SessionDefaultDeadlineAppliesAndClears) {
   const std::string ok = engine.handle("solve --solver dinic");
   EXPECT_TRUE(contains(ok, "\"ok\":true")) << ok;
   EXPECT_TRUE(contains(ok, "\"flow\":90")) << ok;
+}
+
+TEST(Deadlines, FirstSolveOfAFreshLargeNetworkHonoursItsDeadline) {
+  // The first exact solve of a network builds its arc layout and fills
+  // its residual; both check the token at a fixed work stride, so on a
+  // fresh 1.08M-edge network a 100 ms deadline still holds within 2x. A
+  // cancelled build publishes nothing half-made: an untimed solve of the
+  // same network then answers the exact flow.
+  using Kernel = flow::MaxFlowResult (*)(const graph::FlowNetwork&,
+                                         const util::CancelToken&);
+  const std::pair<const char*, Kernel> kernels[] = {
+      {"dinic", &flow::dinic}, {"push_relabel", &flow::push_relabel}};
+  for (const auto& [name, kernel] : kernels) {
+    const graph::FlowNetwork net = graph::gridflow(600, 600, 64, 1);
+    const auto t0 = Clock::now();
+    EXPECT_THROW(
+        kernel(net, util::CancelToken::with_timeout(std::chrono::milliseconds(100))),
+        util::CancelledError)
+        << name;
+    EXPECT_LT(ms_since(t0), 200.0) << name << ": deadline not honoured within 2x";
+    const flow::MaxFlowResult r = flow::push_relabel(net);
+    EXPECT_EQ(flow::check_flow(net, r), "") << name;
+  }
 }
 
 // ----------------------------------------------------- degradation ladder

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <latch>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "core/batch_engine.hpp"
 #include "core/registry.hpp"
 #include "core/workload.hpp"
+#include "flow/maxflow.hpp"
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
 
@@ -28,6 +31,30 @@ std::vector<graph::FlowNetwork> mixed_batch() {
 }
 
 } // namespace
+
+TEST(ArcLayout, ConcurrentFirstSolvesOfOneSharedNetworkAgree) {
+  // Four threads run the first exact solve of one const network at once,
+  // so each may find no arc layout and build one: they must all publish
+  // and read it safely and answer the same maximum flow.
+  const std::string spec = "uniform:n=3000,m=18000,cap=64,seed=5";
+  const graph::FlowNetwork net = core::load_batch(spec).front();
+  // From an independently generated twin, which has a layout of its own.
+  const double exact =
+      flow::edmonds_karp(core::load_batch(spec).front()).flow_value;
+  std::vector<flow::MaxFlowResult> results(4);
+  std::latch start(4);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 4; ++i)
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      results[i] = i % 2 ? flow::push_relabel(net) : flow::dinic(net);
+    });
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(results[i].flow_value, exact) << "thread " << i;
+    EXPECT_EQ(flow::check_flow(net, results[i]), "") << "thread " << i;
+  }
+}
 
 TEST(SolverRegistry, RoundTripsAllBuiltinNames) {
   auto& reg = core::SolverRegistry::instance();

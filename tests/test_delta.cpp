@@ -547,6 +547,39 @@ TEST(DeltaSolve, ResolveWithoutUsablePriorSolvesFromZeroIntoTheState) {
   }
 }
 
+TEST(DeltaSolve, ResolveKnowsItsTopologyByIdentityNotShape) {
+  // Two networks of one shape (4 vertices, 3 edges) but different
+  // endpoints: a state filled on the first must not answer the second
+  // from its residual. The first's maximum is 5, the second's 1.
+  graph::FlowNetwork first(4, 0, 3);
+  first.add_edge(0, 1, 5.0);
+  first.add_edge(1, 3, 5.0);
+  first.add_edge(2, 3, 1.0);
+  graph::FlowNetwork second(4, 0, 3);
+  second.add_edge(0, 1, 5.0);
+  second.add_edge(1, 2, 5.0);
+  second.add_edge(2, 3, 1.0);
+  for (const auto& [name, resolve] : kResolveSolvers) {
+    flow::DeltaState state;
+    const flow::MaxFlowResult a = resolve(first, {}, flow::dinic(first),
+                                          state, {});
+    ASSERT_DOUBLE_EQ(a.flow_value, 5.0) << name;
+
+    // No usable prior: the second network solves from zero, a fallback.
+    const flow::MaxFlowResult b = resolve(second, {}, {}, state, {});
+    EXPECT_DOUBLE_EQ(b.flow_value, 1.0) << name;
+    EXPECT_EQ(b.metrics.delta_fallbacks, 1) << name;
+
+    // A copy of the state's network, edited, is the same topology: the
+    // kept residual follows the edit.
+    graph::FlowNetwork copy = second;
+    const flow::MaxFlowResult c =
+        resolve(copy, edit_edges(copy, {{2, 4.0}}), {}, state, {});
+    EXPECT_DOUBLE_EQ(c.flow_value, 4.0) << name;
+    EXPECT_EQ(c.metrics.delta_solves, 1) << name;
+  }
+}
+
 TEST(DeltaSolve, ResolveSkipsTheAugmentOnlyWhenTheMaximumCannotGrow) {
   // 0->1->3 and 0->2->3 carry 10 and 5; the side edge 1->2 carries
   // nothing. Lowering it without clamping a flow cannot raise the maximum:

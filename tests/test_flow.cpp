@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <numeric>
+#include <random>
 #include <string>
 
 #include "core/sharded_solver.hpp"
@@ -371,5 +374,102 @@ TEST(Dinic, DeepPathSolvesWithoutExhaustingTheStack) {
     const flow::MaxFlowResult r = core::ShardedSolver(opt).solve(net);
     EXPECT_EQ(r.flow_value, 3.0) << shards << " shards";
     EXPECT_EQ(flow::check_flow(net, r), "") << shards << " shards";
+  }
+}
+
+namespace {
+
+/// `net` with its vertices renumbered by a random permutation (the
+/// terminals move with them) and its edges in a random order.
+graph::FlowNetwork renumbered(const graph::FlowNetwork& net,
+                              std::mt19937_64& rng) {
+  std::vector<int> perm(net.num_vertices()), order(net.num_edges());
+  std::iota(perm.begin(), perm.end(), 0);
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  std::shuffle(order.begin(), order.end(), rng);
+  std::vector<graph::Edge> edges;
+  edges.reserve(order.size());
+  for (const int e : order) {
+    const graph::Edge& x = net.edge(e);
+    edges.push_back({perm[x.from], perm[x.to], x.capacity});
+  }
+  return graph::FlowNetwork(net.num_vertices(), perm[net.source()],
+                            perm[net.sink()], std::move(edges));
+}
+
+/// `r` is a maximum flow of `net`: its value is edmonds_karp's and its edge
+/// flows, in input ids, pass check_flow.
+void expect_exact(const graph::FlowNetwork& net, const flow::MaxFlowResult& r,
+                  const std::string& what) {
+  const double exact = flow::edmonds_karp(net).flow_value;
+  EXPECT_LE(std::abs(r.flow_value - exact), 1e-9 * std::max(1.0, exact))
+      << what << ": " << r.flow_value << " vs " << exact;
+  EXPECT_EQ(flow::check_flow(net, r), "") << what;
+}
+
+} // namespace
+
+TEST(ArcLayout, EveryExactKernelAnswersAnyVertexNumberingAndEdgeOrder) {
+  // The kernels walk a breadth-first-from-the-sink arc layout, whatever
+  // the input numbering: each shape, under 4 random vertex renumberings
+  // and edge orders, must answer edmonds_karp's value through every exact
+  // entry point, with edge flows that check out in the input's own ids.
+  graph::FlowNetwork path(300, 0, 299);
+  {
+    std::mt19937_64 rng(3);
+    for (int v = 0; v + 1 < 300; ++v)
+      path.add_edge(v, v + 1, 1.0 + static_cast<double>(rng() % 64));
+  }
+  const std::pair<const char*, graph::FlowNetwork> shapes[] = {
+      {"grid", core::load_batch("grid:side=10,seed=3").front()},
+      {"gridflow", graph::gridflow(12, 14, 16, 5)},
+      {"rmat", graph::rmat(200, 900, {}, 7)},
+      {"layered", graph::layered_random(6, 8, 3, 16, 9)},
+      {"path", path},
+  };
+  for (const auto& [shape, base] : shapes) {
+    std::mt19937_64 rng(17);
+    for (int k = 0; k < 4; ++k) {
+      const graph::FlowNetwork net = renumbered(base, rng);
+      const std::string what = std::string(shape) + " #" + std::to_string(k);
+      for (const auto& [name, solve] : kSolvers)
+        expect_exact(net, solve(net), what + " " + name);
+      for (const int shards : {2, 3}) {
+        core::ShardOptions opt;
+        opt.shards = shards;
+        opt.num_threads = 2;
+        expect_exact(net, core::ShardedSolver(opt).solve(net),
+                     what + " sharded k=" + std::to_string(shards));
+      }
+
+      // A 10-step edit stream through both kept-residual re-solves: each
+      // step scales 1-3 edges by 0.5 or 1.7, so flows are clamped and
+      // slack opens.
+      for (const bool use_push_relabel : {false, true}) {
+        graph::FlowNetwork current = net;
+        flow::MaxFlowResult prior = flow::dinic(current);
+        flow::DeltaState state;
+        for (int step = 0; step < 10; ++step) {
+          flow::CapacityDelta d;
+          for (int i = 0, edits = 1 + step % 3; i < edits; ++i) {
+            const int e = static_cast<int>(rng() % current.num_edges());
+            d.edits.push_back(
+                {e, current.edge(e).capacity * ((rng() & 1) ? 0.5 : 1.7)});
+          }
+          d.apply(current);
+          flow::MaxFlowResult r =
+              use_push_relabel
+                  ? flow::push_relabel_resolve(current, d, prior, state)
+                  : flow::dinic_resolve(current, d, prior, state);
+          EXPECT_EQ(r.metrics.delta_fallbacks, 0) << what;
+          r.edge_flow = state.edge_flows(current);
+          expect_exact(current, r,
+                       what + (use_push_relabel ? " push_relabel" : " dinic") +
+                           "_resolve step " + std::to_string(step));
+          prior = std::move(r);
+        }
+      }
+    }
   }
 }

@@ -12,8 +12,10 @@
 #include "graph/dimacs.hpp"
 #include "graph/generators.hpp"
 #include "graph/network.hpp"
+#include "util/cancel.hpp"
 
 namespace graph = aflow::graph;
+namespace util = aflow::util;
 
 TEST(FlowNetwork, BasicConstruction) {
   graph::FlowNetwork net(4, 0, 3);
@@ -69,6 +71,91 @@ TEST(FlowNetwork, IncidenceListsEachEdgeOncePerEndpoint) {
     }
   }
   for (const int count : seen) EXPECT_EQ(count, 1);
+}
+
+TEST(FlowNetwork, ArcLayoutListsEachEdgeOnceAtEachEndpoint) {
+  const auto net = graph::rmat(50, 240, {}, 11);
+  const graph::ArcLayout& g = *net.arc_layout();
+  const int n = net.num_vertices();
+  const size_t m = static_cast<size_t>(net.num_edges());
+  ASSERT_EQ(g.position.size(), static_cast<size_t>(n));
+  ASSERT_EQ(g.start.size(), static_cast<size_t>(n) + 1);
+  ASSERT_EQ(g.head.size(), 2 * m);
+  ASSERT_EQ(g.sister.size(), 2 * m);
+  ASSERT_EQ(g.forward.size(), m);
+  EXPECT_EQ(g.position[net.sink()], 0);
+  // The positions are a permutation of the vertices.
+  std::vector<int> at(n, -1);
+  for (int v = 0; v < n; ++v) at[g.position[v]] = v;
+  for (int p = 0; p < n; ++p) EXPECT_GE(at[p], 0) << p;
+  // Edge e's forward arc sits among its tail's out-arcs and points at its
+  // head; the sister sits among the head's in-arcs and points back.
+  std::vector<int> seen(2 * m, 0);
+  for (size_t e = 0; e < m; ++e) {
+    const int a = g.forward[e];
+    const int b = g.sister[a];
+    const int u = g.position[net.edge(static_cast<int>(e)).from];
+    const int v = g.position[net.edge(static_cast<int>(e)).to];
+    EXPECT_GE(a, g.start[u]);
+    EXPECT_LT(a, g.in_begin[u]);
+    EXPECT_GE(b, g.in_begin[v]);
+    EXPECT_LT(b, g.start[v + 1]);
+    EXPECT_EQ(g.head[a], v);
+    EXPECT_EQ(g.head[b], u);
+    EXPECT_EQ(g.sister[b], a);
+    ++seen[a];
+    ++seen[b];
+  }
+  for (const int count : seen) EXPECT_EQ(count, 1);
+}
+
+TEST(FlowNetwork, ArcLayoutNumbersBreadthFirstFromTheSink) {
+  // 0 -> 1 -> 2 -> 3 (the sink) plus 0 -> 2; 4 and 5 are isolated. The
+  // search meets 2 from 3, then 1 and 0 from 2 in edge order; the
+  // unreached vertices follow in input order.
+  graph::FlowNetwork net(6, 0, 3);
+  net.add_edge(0, 1, 1.0);
+  net.add_edge(1, 2, 1.0);
+  net.add_edge(2, 3, 1.0);
+  net.add_edge(0, 2, 1.0);
+  EXPECT_EQ(net.arc_layout()->position, (std::vector<int>{3, 2, 1, 0, 4, 5}));
+}
+
+TEST(FlowNetwork, ArcLayoutIsSharedByCopiesAndKeptByCapacityEdits) {
+  graph::FlowNetwork net = graph::paper_example_fig5();
+  const graph::FlowNetwork before = net; // copied before the first build
+  const std::shared_ptr<const graph::ArcLayout> layout = net.arc_layout();
+  EXPECT_EQ(net.arc_layout(), layout); // built once
+  EXPECT_EQ(before.arc_layout(), layout);
+  const graph::FlowNetwork copy = net;
+  EXPECT_EQ(copy.arc_layout(), layout);
+  EXPECT_EQ(net.transform_capacities([](double c) { return 2.0 * c; })
+                .arc_layout(),
+            layout);
+  net.set_capacity(0, 7.0);
+  EXPECT_EQ(net.arc_layout(), layout);
+
+  // A new edge is a new topology; the copies keep theirs.
+  net.add_edge(1, 4, 1.0);
+  const std::shared_ptr<const graph::ArcLayout> grown = net.arc_layout();
+  EXPECT_NE(grown, layout);
+  EXPECT_EQ(grown->forward.size(), 6u);
+  EXPECT_EQ(copy.arc_layout(), layout);
+  EXPECT_EQ(before.arc_layout(), layout);
+
+  // An independently built network of the same topology has its own.
+  EXPECT_NE(graph::paper_example_fig5().arc_layout(), layout);
+}
+
+TEST(FlowNetwork, CancelledArcLayoutBuildPublishesNothing) {
+  const graph::FlowNetwork net = graph::gridflow(20, 20, 16, 3);
+  const util::CancelToken cancelled = util::CancelToken::cancellable();
+  cancelled.cancel();
+  EXPECT_THROW(net.arc_layout(cancelled), util::CancelledError);
+  const std::shared_ptr<const graph::ArcLayout> layout = net.arc_layout();
+  ASSERT_NE(layout, nullptr);
+  EXPECT_EQ(layout->forward.size(), static_cast<size_t>(net.num_edges()));
+  EXPECT_EQ(net.arc_layout(cancelled), layout); // built: no check, no throw
 }
 
 TEST(FlowNetwork, EdgeListConstructorChecksEveryEdge) {

@@ -443,6 +443,10 @@ TEST(ServeEngine, MalformedDimacsLoadsAreWrongRequests) {
        "declares 2 arcs but the file contains 1"},
       {"p max 3 2\nn 1 s\nn 3 t\na 1 2 5 7\na 2 3 4\n",
        "trailing characters after the last field at line 4"},
+      // An overstated count is a count mismatch, not a failed
+      // preallocation (resource_exhausted, which no retry could cure).
+      {"p max 4 2000000000\nn 1 s\nn 4 t\na 1 2 3\n",
+       "declares 2000000000 arcs but the file contains 1"},
   };
   for (const auto& [text, message] : files) {
     std::ofstream(path) << text;
@@ -455,6 +459,28 @@ TEST(ServeEngine, MalformedDimacsLoadsAreWrongRequests) {
     EXPECT_EQ(json_ll(solve, "flow"), json_ll(solve0, "flow")) << solve;
   }
   std::filesystem::remove(path);
+}
+
+TEST(ServeEngine, EmptyInstanceDirectoryIsAWrongRequest) {
+  // A directory without *.dimacs / *.max files names no instance: a wrong
+  // request, like a malformed file, not an internal error.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "aflow_test_serve_empty_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
+  std::ofstream(dir / "notes.txt") << "not an instance\n";
+  core::ServeOptions opt;
+  opt.deterministic = true;
+  core::ServeEngine engine(opt);
+  const std::string resp = engine.handle("load --input " + dir.string());
+  EXPECT_FALSE(json_bool(resp, "ok")) << resp;
+  EXPECT_EQ(json_string(resp, "code"), "invalid_argument") << resp;
+  EXPECT_FALSE(json_bool(resp, "retryable")) << resp;
+  EXPECT_NE(resp.find("no *.dimacs / *.max instances"), std::string::npos)
+      << resp;
+  EXPECT_THROW(core::load_dimacs_dir((dir / "notes.txt").string()),
+               std::invalid_argument); // not a directory
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServeEngine, ReconfigureSeedReprogramsTheCapacitiesAsLoaded) {
